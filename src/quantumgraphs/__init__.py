@@ -26,8 +26,7 @@ from .coloring import (ColoringCertificate, HomomorphismCertificate,
                        verify_homomorphism)
 from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_inner, hs_norm,
                       is_projection, orthonormalize, permute_systems,
-                      projection_meet, subspace_perp, subspace_sum,
-                      subspace_tensor)
+                      projection_meet)
 from .products import (LEXICOGRAPHIC_NOTE, PRODUCT_KINDS, cartesian,
                        categorical, classical_crosscheck, lexicographic,
                        product, strong)

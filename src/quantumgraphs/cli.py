@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_graph)
 
     p = sub.add_parser("product", help="build and verify a product")
-    p.add_argument("--kind", required=True, choices=products.PRODUCT_KINDS)
+    p.add_argument("--kind", required=True, choices=classical.PRODUCT_KINDS)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--out", help="write the product as quantum graph JSON")

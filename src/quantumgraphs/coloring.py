@@ -132,10 +132,9 @@ def _edge_with_ancilla(graph: QuantumGraph, ancilla_dim: int) -> np.ndarray:
 def _projection_residual(stack: np.ndarray) -> float:
     if stack.shape[0] == 0:
         return 0.0
-    idem = np.einsum("aij,ajk->aik", stack, stack) - stack
+    idem = stack @ stack - stack
     herm = stack - np.conj(np.transpose(stack, (0, 2, 1)))
-    return max(float(np.max(np.linalg.norm(idem, axis=(1, 2)))),
-               float(np.max(np.linalg.norm(herm, axis=(1, 2)))))
+    return float(np.max(np.linalg.norm([idem, herm], axis=(2, 3))))
 
 
 def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
@@ -162,11 +161,8 @@ def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
     """max_a || P_a (X (x) I) P_a || over the edge basis."""
     if edge_ops.shape[0] == 0 or projs.shape[0] == 0:
         return 0.0
-    worst = 0.0
-    for p in projs:
-        mid = np.einsum("ij,xjk,kl->xil", p, edge_ops, p)
-        worst = max(worst, float(np.max(np.linalg.norm(mid, axis=(1, 2)))))
-    return worst
+    worst = [np.linalg.norm(p @ edge_ops @ p, axis=(1, 2)).max() for p in projs]
+    return float(np.max(worst))
 
 
 def _pvm_products(projs, colors: int, fold: int):
@@ -200,11 +196,9 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     memb = _membership_space(graph.M, cert.ancilla_dim)
     rep.add("algebra_membership", memb.max_residual(p), tol)
 
-    comm = 0.0
-    for i in range(c):
-        for j in range(i + 1, c):
-            comm = max(comm, hs_norm(p[i] @ p[j] - p[j] @ p[i]))
-    rep.add("commutation", comm, tol)
+    comm = [hs_norm(p[i] @ p[j] - p[j] @ p[i])
+            for i in range(c) for j in range(i + 1, c)]
+    rep.add("commutation", np.max(comm, initial=0.0), tol)
 
     qfam = _pvm_products(p, c, b)
     total = sum((q for _, q in qfam),
@@ -218,23 +212,19 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     if qfam:
         qstack = np.stack([q for _, q in qfam])
         rep.add("pvm_projections", _projection_residual(qstack), tol)
-        ortho = 0.0
-        qcol = 0.0
+        ortho = []
+        qcol = []
         for i, (s, qs) in enumerate(qfam):
             for j, (t, qt) in enumerate(qfam):
                 if i < j:
-                    ortho = max(ortho, hs_norm(qs @ qt))
+                    ortho.append(hs_norm(qs @ qt))
                 if i != j and set(s) & set(t) and edge_ops.shape[0]:
-                    mid = np.einsum("ij,xjk,kl->xil", qs, edge_ops, qt)
-                    qcol = max(qcol, float(np.max(np.linalg.norm(mid, axis=(1, 2)))))
-        rep.add("pvm_orthogonality", ortho, tol)
-        rep.add("pvm_coloring_condition", qcol, tol)
+                    qcol.append(np.linalg.norm(qs @ edge_ops @ qt, axis=(1, 2)).max())
+        rep.add("pvm_orthogonality", np.max(ortho, initial=0.0), tol)
+        rep.add("pvm_coloring_condition", np.max(qcol, initial=0.0), tol)
 
-    long_res = 0.0
-    if c > b:
-        for t, q in _pvm_products(p, c, b + 1):
-            long_res = max(long_res, hs_norm(q))
-    rep.add("long_products_vanish", long_res, tol)
+    long_res = [hs_norm(q) for _, q in _pvm_products(p, c, b + 1)]
+    rep.add("long_products_vanish", np.max(long_res, initial=0.0), tol)
     return rep
 
 
@@ -259,25 +249,14 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
 
     eye = np.eye(cert.ancilla_dim)
     edge_ops = _edge_with_ancilla(source, cert.ancilla_dim)
-    mapped = []
-    for fi in fs:
-        for fj in fs:
-            if edge_ops.shape[0]:
-                mapped.append(np.einsum("ij,xjk,kl->xil", fi, edge_ops,
-                                        fj.conj().T))
-    if mapped:
-        rep.add("edge_space_mapped",
-                target.S.max_residual(np.concatenate(mapped)), tol)
-    else:
-        rep.add("edge_space_mapped", 0.0, tol)
+    mapped = [fi @ edge_ops @ fj.conj().T for fi in fs for fj in fs]
+    rep.add("edge_space_mapped", target.S.max_residual(mapped), tol)
 
     src_comm = source.M.commutant().basis()
     dst_comm = target.M.commutant().basis()
     yi = np.stack([np.kron(y, eye) for y in src_comm.basis])
-    mapped_c = [np.einsum("ij,xjk,kl->xil", fi, yi, fj.conj().T)
-                for fi in fs for fj in fs]
-    rep.add("commutant_mapped",
-            dst_comm.max_residual(np.concatenate(mapped_c)), tol)
+    mapped_c = [fi @ yi @ fj.conj().T for fi in fs for fj in fs]
+    rep.add("commutant_mapped", dst_comm.max_residual(mapped_c), tol)
     return rep
 
 

@@ -152,12 +152,13 @@ class OperatorSubspace:
         return orthonormalize(joined, ambient_dim=self.ambient_dim)
 
     def tensor(self, other: "OperatorSubspace") -> "OperatorSubspace":
-        """Span of pairwise Kronecker products; basis stays orthonormal."""
+        """Span of pairwise Kronecker products; basis stays orthonormal.
+
+        Basis element ``i * other.dim + j`` is ``self[i] (x) other[j]``.
+        """
         n = self.ambient_dim * other.ambient_dim
-        if self.dim == 0 or other.dim == 0:
-            return OperatorSubspace.zero(n)
-        prods = np.einsum("aij,bkl->abikjl", self.basis, other.basis)
-        return OperatorSubspace(n, prods.reshape(self.dim * other.dim, n, n))
+        prods = np.kron(self.basis[:, None], other.basis[None])
+        return OperatorSubspace(n, prods.reshape(-1, n, n))
 
     def perp(self) -> "OperatorSubspace":
         """Orthogonal complement inside the full matrix space M_n."""
@@ -212,18 +213,6 @@ def orthonormalize(mats: Iterable, ambient_dim: int | None = None,
     if sing.size and sing[0] > 0:
         rank = int(np.sum(sing > cutoff * sing[0]))
     return OperatorSubspace(n, vh[:rank].reshape(rank, n, n))
-
-
-def subspace_sum(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspace:
-    return a.sum_with(b)
-
-
-def subspace_tensor(a: OperatorSubspace, b: OperatorSubspace) -> OperatorSubspace:
-    return a.tensor(b)
-
-
-def subspace_perp(a: OperatorSubspace) -> OperatorSubspace:
-    return a.perp()
 
 
 def permute_systems(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

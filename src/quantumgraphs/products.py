@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import ClassicalGraph, classical_product
+from .classical import PRODUCT_KINDS, ClassicalGraph, classical_product
 from .opspace import DEFAULT_TOL, OperatorSubspace, orthonormalize
 from .qgraph import QuantumGraph, from_classical
 from .report import VerificationReport
-
-PRODUCT_KINDS = ("cartesian", "categorical", "lexicographic", "strong")
 
 #: Shown whenever a lexicographic product is reported: the second summand of
 #: its edge space uses the left factor's commutant, S = S_G (x) B(H_H)
@@ -75,53 +73,30 @@ def strong(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
     return product(g, h, "strong")
 
 
-def pair_identification_unitary(ng: int, nh: int) -> np.ndarray:
-    """Unitary sending delta_(v,a) (vertex index v*nh + a) to delta_v (x) delta_a.
-
-    With both sides ordered lexicographically this is the identity matrix;
-    it is still constructed explicitly so the cross-check does not depend on
-    that coincidence.
-    """
-    n = ng * nh
-    u = np.zeros((n, n), dtype=np.complex128)
-    for v in range(ng):
-        for a in range(nh):
-            u[v * nh + a, v * nh + a] = 1.0
-    return u
-
-
 def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
                          tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check that the quantum product of classical embeddings is the
     embedding of the classical product.
 
-    Conjugates the classical product's edge space and diagonal algebra by
-    the vertex-pair identification unitary and reports mutual containment
-    against the quantum side.
+    Vertex (v, a) of the classical product has index v*nh + a, which is the
+    Kronecker index of delta_v (x) delta_a, so both sides live on the same
+    space and are compared by mutual containment without any relabeling.
     """
     rep = VerificationReport("classical product cross-check (%s)" % kind)
     gq = from_classical(g)
     hq = from_classical(h)
     prod_q = product(gq, hq, kind)
     prod_c = from_classical(classical_product(g, h, kind))
-    u = pair_identification_unitary(g.vertex_count, h.vertex_count)
 
-    def conj(stack):
-        if stack.shape[0] == 0:
-            return stack
-        return np.einsum("ij,xjk,kl->xil", u, stack, u.conj().T)
-
-    s_c = conj(prod_c.S.basis)
-    r1 = prod_q.S.max_residual(s_c)
-    r2 = OperatorSubspace(prod_q.n, s_c).max_residual(prod_q.S.basis) \
-        if prod_c.S.dim else (0.0 if prod_q.S.dim == 0 else 1.0)
-    rep.add("edge_space_match", max(r1, r2), tol)
+    r1 = prod_q.S.max_residual(prod_c.S.basis)
+    r2 = prod_c.S.max_residual(prod_q.S.basis)
+    rep.add("edge_space_match", np.max([r1, r2]), tol)
 
     alg_q = prod_q.M.basis()
-    alg_c = conj(prod_c.M.basis().basis)
-    r3 = alg_q.max_residual(alg_c)
-    r4 = OperatorSubspace(prod_q.n, alg_c).max_residual(alg_q.basis)
-    rep.add("algebra_match", max(r3, r4), tol)
+    alg_c = prod_c.M.basis()
+    r3 = alg_q.max_residual(alg_c.basis)
+    r4 = alg_c.max_residual(alg_q.basis)
+    rep.add("algebra_match", np.max([r3, r4]), tol)
 
     if prod_c.S.dim != prod_q.S.dim:
         rep.add("edge_space_dimension", 1.0, tol)

@@ -203,14 +203,9 @@ def verify_quantum_graph(graph: QuantumGraph,
     adj = np.conj(np.transpose(s.basis, (0, 2, 1)))
     rep.add("adjoint_closed", s.max_residual(adj), tol)
 
-    if s.dim:
-        left = np.einsum("aij,xjk->axik", mp.basis, s.basis)
-        right = np.einsum("xij,ajk->xaik", s.basis, mp.basis)
-        n = graph.n
-        stack = np.concatenate([left.reshape(-1, n, n), right.reshape(-1, n, n)])
-        rep.add("bimodule", s.max_residual(stack), tol)
-    else:
-        rep.add("bimodule", 0.0, tol)
+    left = s.max_residual(mp.basis[:, None] @ s.basis)
+    right = s.max_residual(s.basis @ mp.basis[:, None])
+    rep.add("bimodule", np.max([left, right]), tol)
 
     if s.dim and mp.dim:
         gram = s._flat @ mp._flat.conj().T
@@ -250,11 +245,7 @@ def conjugate_graph(graph: QuantumGraph, u, tol: float = DEFAULT_TOL) -> Quantum
                          % (u.shape, n))
     if hs_norm(u.conj().T @ u - np.eye(n)) > tol:
         raise ValueError("conjugating matrix is not unitary")
-    if graph.S.dim:
-        basis = np.einsum("ij,xjk,kl->xil", u.conj().T, graph.S.basis, u)
-        s = OperatorSubspace(n, basis)
-    else:
-        s = OperatorSubspace.zero(n)
+    s = OperatorSubspace(n, u.conj().T @ graph.S.basis @ u)
     return QuantumGraph(s, graph.M.conjugated_by(u))
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Check:
@@ -44,7 +46,7 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return float(np.max([c.residual for c in self.checks], initial=0.0))
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]

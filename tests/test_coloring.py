@@ -66,6 +66,21 @@ def test_verify_coloring_detects_bad_certificates():
     assert any("projection" in c.name for c in rep.failures())
 
 
+def test_nan_entry_fails_the_coloring_condition(c5_two_fold):
+    # Python's max(0.0, nan) is 0.0; the aggregation must keep the NaN
+    g = qg.from_classical(qg.cycle(5))
+    projs = [p.copy() for p in c5_two_fold.projections]
+    projs[0][0, 0] = np.nan
+    for fold, verify in ((2, verify_bfold), (1, verify_coloring)):
+        cert = ColoringCertificate(5, 1, fold, tuple(projs))
+        rep = verify(g, cert)
+        check = next(c for c in rep.checks if c.name == "coloring_condition")
+        assert np.isnan(check.residual) and not check.passed
+        assert np.isnan(rep.max_residual)
+        assert not rep.passed
+        assert rep.lines()[-1] == "result: FAIL"
+
+
 def test_certificate_validation_and_immutability():
     with pytest.raises(ValueError):
         ColoringCertificate(2, 1, 1, (np.eye(3, dtype=complex),))

@@ -5,8 +5,7 @@ import pytest
 
 from quantumgraphs.opspace import (
     OperatorSubspace, adjoint, hs_inner, hs_norm, is_projection,
-    orthonormalize, permute_systems, projection_meet, subspace_perp,
-    subspace_sum, subspace_tensor)
+    orthonormalize, permute_systems, projection_meet)
 
 
 def randc(rng, *shape):
@@ -86,18 +85,18 @@ def test_max_residual_matches_per_matrix_residuals():
 def test_perp_complements_and_involutes():
     rng = np.random.default_rng(14)
     s = orthonormalize([randc(rng, 3, 3) for _ in range(4)])
-    p = subspace_perp(s)
+    p = s.perp()
     assert s.dim + p.dim == 9
     cross = np.einsum("aij,bij->ab", p.basis.conj(), s.basis)
     assert np.max(np.abs(cross)) < 1e-12
-    assert subspace_perp(p).equals_span(s)
+    assert p.perp().equals_span(s)
 
 
 def test_zero_and_full_subspaces():
     z = OperatorSubspace.zero(3)
     f = OperatorSubspace.full(3)
     assert z.dim == 0 and f.dim == 9
-    assert subspace_perp(z).equals_span(f)
+    assert z.perp().equals_span(f)
     assert f.contains_subspace(z)
 
 
@@ -105,11 +104,28 @@ def test_sum_and_tensor_dimensions():
     rng = np.random.default_rng(15)
     a = orthonormalize([randc(rng, 2, 2) for _ in range(2)])
     b = orthonormalize([randc(rng, 3, 3) for _ in range(3)])
-    assert subspace_sum(a, orthonormalize(a.basis)).dim == a.dim
-    t = subspace_tensor(a, b)
+    assert a.sum_with(orthonormalize(a.basis)).dim == a.dim
+    t = a.tensor(b)
     assert t.ambient_dim == 6
     assert t.dim == a.dim * b.dim
     assert t.contains(np.kron(a.basis[1], b.basis[2]))
+
+
+def test_tensor_basis_is_kronecker_ordered():
+    # products, certificates and the bench oracle all index the tensor
+    # basis as a.basis[i] (x) b.basis[j] at position i * b.dim + j
+    rng = np.random.default_rng(20)
+    a = orthonormalize([randc(rng, 2, 2) for _ in range(3)])
+    b = orthonormalize([randc(rng, 3, 3) for _ in range(4)])
+    t = a.tensor(b)
+    for i in range(a.dim):
+        for j in range(b.dim):
+            diff = t.basis[i * b.dim + j] - np.kron(a.basis[i], b.basis[j])
+            assert np.max(np.abs(diff)) < 1e-14
+    for z in (a.tensor(OperatorSubspace.zero(3)),
+              OperatorSubspace.zero(3).tensor(a)):
+        assert z.dim == 0 and z.ambient_dim == 6
+        assert z.basis.shape == (0, 6, 6)
 
 
 def test_contains_subspace_and_equals_span():

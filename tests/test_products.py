@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quantumgraphs as qg
+from quantumgraphs import products
 from quantumgraphs.opspace import orthonormalize, permute_systems
 from quantumgraphs.products import (
     LEXICOGRAPHIC_NOTE, classical_crosscheck, product)
@@ -115,3 +116,32 @@ def test_classical_crosscheck_catches_a_wrong_identification():
     quantum = product(embedded(g), embedded(h), "categorical")
     classical = qg.from_classical(qg.classical_product(g, h, "cartesian"))
     assert not quantum.S.equals_span(classical.S)
+
+
+def test_classical_crosscheck_fails_on_another_kinds_product(monkeypatch):
+    # both sides share one vertex indexing, so a wrong classical side must
+    # show up as an edge space mismatch rather than be conjugated away
+    real = products.classical_product
+    monkeypatch.setattr(products, "classical_product",
+                        lambda g, h, kind: real(g, h, "strong"))
+    rep = classical_crosscheck(qg.cycle(5), qg.path(3), "cartesian")
+    assert not rep.passed
+    assert "edge_space_match" in [c.name for c in rep.failures()]
+
+
+def test_classical_crosscheck_fails_on_a_relabeled_product(monkeypatch):
+    real = products.classical_product
+    g, h = qg.cycle(5), qg.path(3)
+    perm = np.random.default_rng(22).permutation(15)
+    assert not np.array_equal(perm, np.arange(15))
+
+    def relabeled(g, h, kind):
+        p = real(g, h, kind)
+        edges = {(int(perm[u]), int(perm[v])) for u, v in p.edges}
+        return qg.ClassicalGraph(p.vertex_count, edges)
+
+    monkeypatch.setattr(products, "classical_product", relabeled)
+    for kind in qg.PRODUCT_KINDS:
+        rep = classical_crosscheck(g, h, kind)
+        assert not rep.passed, kind
+        assert "edge_space_match" in [c.name for c in rep.failures()], kind

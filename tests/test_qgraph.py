@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quantumgraphs as qg
-from quantumgraphs.opspace import orthonormalize, subspace_sum
+from quantumgraphs.opspace import orthonormalize
 from quantumgraphs.qgraph import BlockAlgebra
 
 
@@ -139,7 +139,7 @@ def test_is_subgraph_rejects_mismatched_graphs():
 
 def test_verify_rejects_reflexive_edge_space():
     base = qg.from_classical(qg.complete(3))
-    s_bad = subspace_sum(base.S, orthonormalize([np.eye(3, dtype=complex)]))
+    s_bad = base.S.sum_with(orthonormalize([np.eye(3, dtype=complex)]))
     rep = qg.verify_quantum_graph(qg.QuantumGraph(s_bad, base.M))
     assert not rep.passed
     assert any("orthogonal" in c.name for c in rep.failures())
