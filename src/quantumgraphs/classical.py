@@ -283,24 +283,27 @@ class BFoldAssignment:
 # ---------------------------------------------------------------------------
 # exact solvers
 
-def max_independent_set(g: ClassicalGraph, within=None) -> frozenset:
-    """A maximum independent set, exact, by bitset branch and bound.
-
-    ``within`` restricts the search to an induced subgraph. Deterministic:
-    branching always picks the lowest-index vertex of maximum residual
-    degree.
-    """
-    n = g.vertex_count
-    adj = [0] * n
+def _adjacency_masks(g: ClassicalGraph) -> list:
+    """Neighbourhoods as bitsets: bit w of entry v is set iff v ~ w."""
+    adj = [0] * g.vertex_count
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if within is None:
-        avail0 = (1 << n) - 1
-    else:
-        avail0 = 0
-        for v in within:
-            avail0 |= 1 << v
+    return adj
+
+
+def _complement_masks(adj: list) -> list:
+    full = (1 << len(adj)) - 1
+    return [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+
+
+def _max_independent_mask(adj: list, avail: int) -> int:
+    """A maximum independent set of G[avail] as a bitset, by branch and
+    bound. A branch is cut when the set so far plus the number of cliques in
+    a greedy clique cover of the remaining vertices cannot beat the best
+    set. Deterministic: branching always picks the lowest-index vertex of
+    maximum residual degree, and only a strictly larger set replaces the
+    best."""
     best_size = -1
     best_set = 0
 
@@ -311,6 +314,21 @@ def max_independent_set(g: ClassicalGraph, within=None) -> frozenset:
         if avail == 0:
             if size > best_size:
                 best_size, best_set = size, cur
+            return
+        # an independent set meets each clique of a greedy clique cover once
+        cover, m = 0, avail
+        while m:
+            clique = m & -m
+            grow = m & adj[clique.bit_length() - 1]
+            while grow:
+                low = grow & -grow
+                clique |= low
+                grow &= adj[low.bit_length() - 1]
+            m &= ~clique
+            cover += 1
+            if size + cover > best_size:
+                break
+        else:
             return
         pick, pick_deg = -1, -1
         m = avail
@@ -327,8 +345,27 @@ def max_independent_set(g: ClassicalGraph, within=None) -> frozenset:
         rec(avail & ~(1 << pick) & ~adj[pick], cur | (1 << pick), size + 1)
         rec(avail & ~(1 << pick), cur, size)
 
-    rec(avail0, 0, 0)
-    return frozenset(v for v in range(n) if (best_set >> v) & 1)
+    rec(avail, 0, 0)
+    return best_set
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def max_independent_set(g: ClassicalGraph, within=None) -> frozenset:
+    """A maximum independent set, exact, by bitset branch and bound.
+
+    ``within`` restricts the search to an induced subgraph. Deterministic:
+    branching always picks the lowest-index vertex of maximum residual
+    degree.
+    """
+    n = g.vertex_count
+    avail = (1 << n) - 1 if within is None else sum(1 << v for v in set(within))
+    return frozenset(_bits(_max_independent_mask(_adjacency_masks(g), avail)))
 
 
 def clique_number(g: ClassicalGraph) -> int:
@@ -352,108 +389,77 @@ def _dsatur_greedy(g: ClassicalGraph) -> list:
     return colors
 
 
-def _peel_coloring(g: ClassicalGraph) -> list:
-    """Color classes by repeatedly removing an exact maximum independent set.
+def _peel_color_count(adj: list) -> int:
+    """Colors used by repeatedly removing an exact maximum independent set.
 
     Often meets the ceil(n / alpha) lower bound on vertex-transitive
     instances, which lets the exact solver finish without search.
     """
-    n = g.vertex_count
-    colors = [-1] * n
-    remaining = set(range(n))
-    c = 0
+    remaining = (1 << len(adj)) - 1
+    count = 0
     while remaining:
-        s = max_independent_set(g, within=remaining)
-        for v in s:
-            colors[v] = c
-        remaining -= s
-        c += 1
-    return colors
+        remaining &= ~_max_independent_mask(adj, remaining)
+        count += 1
+    return count
 
 
-def _feasible_coloring(g: ClassicalGraph, c: int, clique=()):
-    """A proper c-coloring, or None. Backtracking with dynamic
-    most-constrained-vertex ordering, first-use color symmetry breaking,
-    and fail-first propagation on the neighbors' allowed-color masks.
+def _maximal_independent_sets(adj: list, avail: int):
+    """Every maximal independent set of G[avail], as bitsets: Bron-Kerbosch
+    with pivoting, run on the complement (whose maximal cliques they are)."""
 
-    ``clique`` vertices are pre-colored 0, 1, ... up front; sound because
-    any proper coloring can be relabeled to agree on a clique, and fresh
-    colors beyond it can still be renamed in order of first use.
-    """
-    n = g.vertex_count
-    nbrs = [sorted(g.neighbors(v)) for v in range(n)]
-    degree = [len(x) for x in nbrs]
-    full = (1 << c) - 1
-    colors = [-1] * n
-    ncnt = [[0] * c for _ in range(n)]
-    allowed = [full] * n
-    uncolored = set(range(n))
+    def rec(cur: int, cand: int, done: int):
+        if not cand:
+            if not done:
+                yield cur
+            return
+        pivot = max(_bits(cand | done),
+                    key=lambda u: (cand & ~adj[u] & ~(1 << u)).bit_count())
+        for w in _bits(cand & (adj[pivot] | (1 << pivot))):
+            keep = ~adj[w] & ~(1 << w)
+            yield from rec(cur | (1 << w), cand & keep, done & keep)
+            cand &= ~(1 << w)
+            done |= 1 << w
 
-    def assign(v: int, col: int):
-        """Place v, restricting neighbors. Returns (undo list, dead flag)."""
-        colors[v] = col
-        uncolored.discard(v)
-        bit = 1 << col
-        touched = []
-        dead = False
-        for w in nbrs[v]:
-            if colors[w] == -1:
-                ncnt[w][col] += 1
-                if ncnt[w][col] == 1:
-                    allowed[w] &= ~bit
-                    touched.append(w)
-                    if allowed[w] == 0:
-                        dead = True
-        return touched, dead
+    return rec(0, avail, 0)
 
-    def unassign(v: int, col: int, touched) -> None:
-        bit = 1 << col
-        for w in nbrs[v]:
-            if colors[w] == -1:
-                ncnt[w][col] -= 1
-        for w in touched:
-            allowed[w] |= bit
-        colors[v] = -1
-        uncolored.add(v)
 
-    start_used = -1
-    for col, v in enumerate(sorted(clique)):
-        if col >= c:
-            return None
-        _, dead = assign(v, col)
-        start_used = col
-        if dead:
-            return None
-
-    def rec(max_used: int) -> bool:
-        if not uncolored:
-            return True
-        v, best = -1, (c + 1, -1)
-        for u in uncolored:
-            key = (allowed[u].bit_count(), -degree[u])
-            if key < best:
-                v, best = u, key
-        cap = full if max_used + 1 >= c - 1 else (1 << (max_used + 2)) - 1
-        cand = allowed[v] & cap
-        while cand:
-            bit = cand & -cand
-            cand &= cand - 1
-            col = bit.bit_length() - 1
-            touched, dead = assign(v, col)
-            if not dead and rec(max(max_used, col)):
-                return True
-            unassign(v, col, touched)
-        return False
-
-    return colors if rec(start_used) else None
+def _greedy_clique_size(adj: list, avail: int) -> int:
+    """Size of a clique of G[avail] grown by maximum residual degree; on
+    complement masks, of an independent set grown by minimum degree."""
+    size = 0
+    while avail:
+        pick, pick_deg = 0, -1
+        m = avail
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & avail).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        avail &= adj[pick]
+        size += 1
+    return size
 
 
 def chromatic_exact(g: ClassicalGraph) -> int:
-    """The chromatic number, exact.
+    """The chromatic number, exact, by branching on whole color classes.
 
-    Lower bound: max of the clique number and ceil(n / alpha); upper bound:
-    the better of DSATUR greedy and independent-set peeling; the gap is
-    closed by feasibility search with a maximum clique pre-colored.
+    Bounds first: the lower bound is the larger of the clique number and
+    ceil(n / alpha), the upper bound the better of DSATUR greedy and
+    independent-set peeling. The gap is closed by one search over vertex
+    sets R (Lawler, IPL 1976; Eppstein, JGAA 2003). G[R] is k-colorable iff
+    some maximal independent set I of G[R] that contains a chosen vertex v
+    leaves G[R - I] (k-1)-colorable, because any color class can be grown
+    to a maximal one by taking vertices from the other classes. The
+    candidates I are {v} joined to each maximal independent set of
+    G[R - N[v]], and v is the vertex with the fewest non-neighbours in R.
+    The search keeps its best coloring count as the bound, and a remainder
+    R is cut off when a greedy clique of G[R], ceil(|R| / alpha(G[R])) or
+    an earlier failure on R rules out the colors left. alpha(G[R]) is
+    computed only when a greedy independent set cannot rule that bound
+    out, and is memoized per R; every searched R records the largest color
+    count known to fail on it.
     """
     n = g.vertex_count
     if n > _CHROMATIC_VERTEX_LIMIT:
@@ -461,16 +467,39 @@ def chromatic_exact(g: ClassicalGraph) -> int:
                              % (_CHROMATIC_VERTEX_LIMIT, n))
     if not g.edges:
         return 1
-    alpha = len(max_independent_set(g))
-    clique = max_independent_set(g.complement())
-    lb = max(len(clique), -(-n // alpha))
-    ub = min(max(_dsatur_greedy(g)) + 1, max(_peel_coloring(g)) + 1)
-    c = lb
-    while c < ub:
-        if _feasible_coloring(g, c, clique) is not None:
-            return c
-        c += 1
-    return ub
+    adj = _adjacency_masks(g)
+    full = (1 << n) - 1
+    alpha = {full: _max_independent_mask(adj, full).bit_count()}
+    co_adj = _complement_masks(adj)
+    omega = _max_independent_mask(co_adj, full).bit_count()
+    fails = {full: max(omega, -(-n // alpha[full])) - 1}
+
+    def least(rest: int, bound: int, alpha_above: int) -> int:
+        """min(chi(G[rest]), bound); alpha_above bounds alpha(G[rest])."""
+        if not rest:
+            return 0
+        size = rest.bit_count()
+        alpha_above = alpha.get(rest, alpha_above)
+        lo = max(fails.get(rest, 0) + 1, -(-size // alpha_above))
+        if lo < bound:
+            lo = max(lo, _greedy_clique_size(adj, rest))
+        if (lo < bound and rest not in alpha
+                and size > (bound - 1) * _greedy_clique_size(co_adj, rest)):
+            alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count()
+            lo = max(lo, -(-size // alpha_above))
+        if lo < bound:
+            v = min(_bits(rest), key=lambda u: (rest & ~adj[u]).bit_count())
+            inside = rest & ~adj[v] & ~(1 << v)
+            for cls in _maximal_independent_sets(adj, inside):
+                bound = min(bound, 1 + least(rest & ~cls & ~(1 << v), bound - 1,
+                                             alpha_above))
+                if bound == lo:
+                    break
+        fails[rest] = max(fails.get(rest, 0), bound - 1)
+        return bound
+
+    ub = min(max(_dsatur_greedy(g)) + 1, _peel_color_count(adj))
+    return least(full, ub, alpha[full])
 
 
 def _bfold_feasible(g: ClassicalGraph, b: int, c: int):

@@ -7,6 +7,7 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,7 +220,10 @@ def _add_tol(p) -> None:
                    help="residual tolerance (default %g)" % DEFAULT_TOL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="qgraph",
         description="Quantum graph products, coloring certificates, and "

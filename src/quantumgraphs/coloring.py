@@ -532,18 +532,18 @@ def complete_lower_bound_extract(graph: QuantumGraph,
     u = graph.M.conjugator
     rep = VerificationReport("complete graph lower bound extraction "
                              "(block (%d, %d), fold %d)" % (d, k, cert.fold))
-    idem = herm = 0.0
+    idem, herm = [], []
     total = np.zeros((dn, dn), dtype=np.complex128)
     for p in cert.projections:
         if u is not None:
             w = np.kron(u, np.eye(dn))
             p = w.conj().T @ p @ w
         r = (k / d) * np.trace(p.reshape(n, dn, n, dn), axis1=0, axis2=2)
-        idem = max(idem, hs_norm(r @ r - r))
-        herm = max(herm, hs_norm(r - r.conj().T))
+        idem.append(hs_norm(r @ r - r))
+        herm.append(hs_norm(r - r.conj().T))
         total = total + r
-    rep.add("idempotent", idem, tol)
-    rep.add("self_adjoint", herm, tol)
+    rep.add("idempotent", np.max(idem, initial=0.0), tol)
+    rep.add("self_adjoint", np.max(herm, initial=0.0), tol)
     rep.add("sum_rule", hs_norm(total - cert.fold * k * k * np.eye(dn)), tol)
     rep.notes.append("a passing extraction forces colors >= fold * dim M = %d"
                      % (cert.fold * k * k))

@@ -9,6 +9,7 @@ bit-stable across loads.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,17 +30,35 @@ def matrix_to_obj(m) -> dict:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
+    """The matrix of a {"dim", "entries"} object. Every entry must be a pair
+    [re, im] of finite numbers; anything else raises ValueError naming it."""
     try:
         rows, cols = (int(d) for d in obj["dim"])
         entries = obj["entries"]
+        count = len(entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed matrix object: %s" % exc) from None
-    if len(entries) != rows * cols:
+    if count != rows * cols:
         raise ValueError("matrix claims %d x %d but has %d entries"
-                         % (rows, cols, len(entries)))
-    data = np.array([complex(re, im) for re, im in entries],
-                    dtype=np.complex128)
-    return data.reshape(rows, cols)
+                         % (rows, cols, count))
+    try:
+        pairs = np.asarray(entries) if count else np.zeros((0, 2))
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if (pairs is None or pairs.shape != (count, 2)
+            or pairs.dtype.kind not in "iuf" or not np.isfinite(pairs).all()):
+        raise ValueError(_bad_entry(entries))
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    return pairs.view(np.complex128).reshape(rows, cols)
+
+
+def _bad_entry(entries) -> str:
+    for i, e in enumerate(entries):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and all(type(x) is int or (type(x) is float and math.isfinite(x))
+                        for x in e)):
+            return "matrix entry %d is %r, not a pair of finite numbers" % (i, e)
+    return "matrix entries are not pairs of finite numbers"
 
 
 def algebra_to_obj(m: BlockAlgebra) -> dict:

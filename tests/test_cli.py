@@ -197,6 +197,18 @@ def test_usage_errors_are_exit_two(files, capsys):
     assert main(["classical", "chi", str(garbled)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("entry, shown", [(["a", 0], "'a'"), ([float("nan"), 0], "nan")])
+def test_bad_certificate_entry_is_exit_two(files, capsys, entry, shown):
+    obj = ser.load_json(files["bell2"])
+    obj["projections"][1]["entries"][3] = entry
+    bad = files["dir"] / "bad_entry.json"
+    bad.write_text(json.dumps(obj))  # json writes a NaN as the bare token NaN
+    assert main(["color", "verify", files["kq_m2"], str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "entry 3" in err and shown in err
+
+
 def test_size_guard_is_exit_three(files, capsys):
     big = files["dir"] / "k27.col"
     big.write_text(qg.to_dimacs(qg.complete(27)))

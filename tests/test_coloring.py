@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import quantumgraphs as qg
+from quantumgraphs import coloring
 from quantumgraphs.coloring import (
     ColoringCertificate, bell_coloring, bfold_from_pvm, categorical_lift,
     combine_bfold, complete_lower_bound_extract, from_local_cert,
     lexicographic_coloring, pvm_from_bfold, reduce_bfold, scale_bfold,
     strong_coloring, to_local_cert, verify_bfold, verify_coloring)
-from quantumgraphs.report import VerificationFailure
+from quantumgraphs.report import VerificationFailure, VerificationReport
 
 
 def ok(rep):
@@ -284,6 +285,21 @@ def test_complete_lower_bound_extract_rejects_bad_input(bell2):
                                  (np.zeros((4, 4), complex),))
     with pytest.raises(VerificationFailure):
         complete_lower_bound_extract(graph, broken)
+
+
+def test_extract_keeps_a_nan_residual(bell2, monkeypatch):
+    # Python's max(0.0, nan) is 0.0; the aggregation must keep the NaN. The
+    # b-fold gate would stop a NaN certificate first, so it is bypassed here.
+    monkeypatch.setattr(coloring, "verify_bfold",
+                        lambda *args: VerificationReport("gate bypassed"))
+    graph = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
+    projs = [p.copy() for p in bell2.projections]
+    projs[1][0, 0] = np.nan
+    rep = complete_lower_bound_extract(graph, ColoringCertificate(2, 2, 1, tuple(projs)))
+    for name in ("idempotent", "self_adjoint"):
+        check = next(c for c in rep.checks if c.name == name)
+        assert np.isnan(check.residual) and not check.passed
+    assert not rep.passed
 
 
 def test_extract_is_unitarily_covariant(bell2, haar):

@@ -24,6 +24,23 @@ def test_matrix_from_obj_rejects_malformed():
         ser.matrix_from_obj({"entries": []})
 
 
+@pytest.mark.parametrize("entry", [
+    ["a", 0], [None, 0], [1.0], [1.0, 2.0, 3.0], 1.0, "1",
+    [float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0]])
+def test_matrix_from_obj_rejects_bad_entries(entry):
+    obj = {"dim": [1, 2], "entries": [[1.0, 0.0], entry]}
+    with pytest.raises(ValueError, match="entry 1"):
+        ser.matrix_from_obj(obj)
+
+
+def test_matrix_from_obj_accepts_integers_and_signed_zeros():
+    entries = [[1, -2], [-0.0, 0.5], [3, 0.25], [0.0, -0.0]]
+    back = ser.matrix_from_obj({"dim": [2, 2], "entries": entries})
+    want = np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+    assert back.dtype == np.complex128
+    assert back.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
 def test_algebra_round_trip(haar):
     m = qg.BlockAlgebra([(2, 1), (1, 2)], conjugator=haar(4, seed=2))
     back = ser.algebra_from_obj(ser.algebra_to_obj(m))
