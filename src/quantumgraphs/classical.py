@@ -235,19 +235,6 @@ def to_dimacs(g: ClassicalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_obj(g: ClassicalGraph) -> dict:
-    return {"v": 1, "kind": "classical_graph", "vertices": g.vertex_count,
-            "edges": [[u, v] for u, v in sorted(g.edges)]}
-
-
-def graph_from_obj(obj: dict) -> ClassicalGraph:
-    if obj.get("kind") != "classical_graph":
-        raise ValueError("not a classical_graph object")
-    if obj.get("v") != 1:
-        raise ValueError("unsupported version %r" % obj.get("v"))
-    return ClassicalGraph(obj["vertices"], [tuple(e) for e in obj["edges"]])
-
-
 # ---------------------------------------------------------------------------
 # b-fold assignments
 
@@ -356,15 +343,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def max_independent_set(g: ClassicalGraph, within=None) -> frozenset:
+def max_independent_set(g: ClassicalGraph) -> frozenset:
     """A maximum independent set, exact, by bitset branch and bound.
 
-    ``within`` restricts the search to an induced subgraph. Deterministic:
-    branching always picks the lowest-index vertex of maximum residual
-    degree.
+    Deterministic: branching always picks the lowest-index vertex of maximum
+    residual degree.
     """
-    n = g.vertex_count
-    avail = (1 << n) - 1 if within is None else sum(1 << v for v in set(within))
+    avail = (1 << g.vertex_count) - 1
     return frozenset(_bits(_max_independent_mask(_adjacency_masks(g), avail)))
 
 
@@ -573,6 +558,44 @@ def bfold_exact(g: ClassicalGraph, b: int):
     witness = BFoldAssignment(ub, b, ub_witness)
     witness.validate(g)
     return ub, witness
+
+
+def bounds_report(g: ClassicalGraph, h: ClassicalGraph) -> dict:
+    """Chromatic data for all four products of two classical graphs plus the
+    product bound checks; all quantities exact integers."""
+    chi_g = chromatic_exact(g)
+    chi_h = chromatic_exact(h)
+    b = chi_h
+    chi_b_g, _ = bfold_exact(g, b)
+    prod_chi = {kind: chromatic_exact(classical_product(g, h, kind))
+                for kind in PRODUCT_KINDS}
+    checks = [
+        ("max(chi(G), chi(H)) <= chi(cartesian)",
+         max(chi_g, chi_h) <= prod_chi["cartesian"],
+         "%d <= %d" % (max(chi_g, chi_h), prod_chi["cartesian"])),
+        ("chi(categorical) <= min(chi(G), chi(H))",
+         prod_chi["categorical"] <= min(chi_g, chi_h),
+         "%d <= %d" % (prod_chi["categorical"], min(chi_g, chi_h))),
+        ("max(chi(G), chi(H)) <= chi(strong)",
+         max(chi_g, chi_h) <= prod_chi["strong"],
+         "%d <= %d" % (max(chi_g, chi_h), prod_chi["strong"])),
+        ("chi(strong) <= chi(G) * chi(H)",
+         prod_chi["strong"] <= chi_g * chi_h,
+         "%d <= %d" % (prod_chi["strong"], chi_g * chi_h)),
+        ("chi(lexicographic) <= chi_b(G) at b = chi(H)",
+         prod_chi["lexicographic"] <= chi_b_g,
+         "%d <= %d" % (prod_chi["lexicographic"], chi_b_g)),
+        ("chi(lexicographic) == chi_b(G) at b = chi(H)",
+         prod_chi["lexicographic"] == chi_b_g,
+         "%d == %d" % (prod_chi["lexicographic"], chi_b_g)),
+    ]
+    return {
+        "v": 1, "kind": "bounds_report",
+        "chi_g": chi_g, "chi_h": chi_h, "b": b, "chi_b_g": chi_b_g,
+        "products": prod_chi,
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+        "all_ok": all(ok for _, ok, _ in checks),
+    }
 
 
 def graph_homomorphism(g: ClassicalGraph, h: ClassicalGraph):

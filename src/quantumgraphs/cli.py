@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import classical, coloring, products, serialize
-from .classical import SizeGuardError
+from .classical import SizeGuardError, bounds_report
 from .opspace import DEFAULT_TOL
 from .qgraph import verify_quantum_graph
 from .report import VerificationReport
@@ -82,11 +82,11 @@ def _cmd_transform(args) -> int:
     elif args.transform == "combine":
         c1 = serialize.certificate_from_obj(serialize.load_json(args.certificate))
         c2 = serialize.certificate_from_obj(serialize.load_json(args.second))
-        out, rep = coloring.combine_bfold(g, c1, c2, args.tol, strict=False)
+        out, rep = coloring.combine_bfold(g, c1, c2, args.tol)
         print("combined: fold %d, %d colors" % (out.fold, out.colors))
     elif args.transform == "scale":
         cert = serialize.certificate_from_obj(serialize.load_json(args.certificate))
-        out, rep = coloring.scale_bfold(g, cert, args.fold, args.tol, strict=False)
+        out, rep = coloring.scale_bfold(g, cert, args.fold, args.tol)
         print("scaled: fold %d, %d colors" % (out.fold, out.colors))
     elif args.transform == "lex":
         cg = serialize.certificate_from_obj(serialize.load_json(args.certificate))
@@ -138,7 +138,7 @@ def _cmd_classical(args) -> int:
         print("%s product: %d vertices, %d edges"
               % (args.kind, p.vertex_count, p.edge_count))
         if args.out:
-            serialize.save(args.out, classical.graph_to_obj(p))
+            serialize.save(args.out, serialize.graph_to_obj(p))
             print("wrote %s" % args.out)
         return EXIT_OK
     if args.what == "kneser":
@@ -146,50 +146,10 @@ def _cmd_classical(args) -> int:
         print("Kneser graph K(%d, %d): %d vertices, %d edges"
               % (args.c, args.b, g.vertex_count, g.edge_count))
         if args.out:
-            serialize.save(args.out, classical.graph_to_obj(g))
+            serialize.save(args.out, serialize.graph_to_obj(g))
             print("wrote %s" % args.out)
         return EXIT_OK
     raise ValueError("unknown classical command %r" % args.what)
-
-
-def bounds_report(g, h) -> dict:
-    """Chromatic data for all four products of two classical graphs plus the
-    product bound checks; all quantities exact integers."""
-    chi_g = classical.chromatic_exact(g)
-    chi_h = classical.chromatic_exact(h)
-    b = chi_h
-    chi_b_g, _ = classical.bfold_exact(g, b)
-    prod_chi = {}
-    for kind in classical.PRODUCT_KINDS:
-        prod_chi[kind] = classical.chromatic_exact(
-            classical.classical_product(g, h, kind))
-    checks = [
-        ("max(chi(G), chi(H)) <= chi(cartesian)",
-         max(chi_g, chi_h) <= prod_chi["cartesian"],
-         "%d <= %d" % (max(chi_g, chi_h), prod_chi["cartesian"])),
-        ("chi(categorical) <= min(chi(G), chi(H))",
-         prod_chi["categorical"] <= min(chi_g, chi_h),
-         "%d <= %d" % (prod_chi["categorical"], min(chi_g, chi_h))),
-        ("max(chi(G), chi(H)) <= chi(strong)",
-         max(chi_g, chi_h) <= prod_chi["strong"],
-         "%d <= %d" % (max(chi_g, chi_h), prod_chi["strong"])),
-        ("chi(strong) <= chi(G) * chi(H)",
-         prod_chi["strong"] <= chi_g * chi_h,
-         "%d <= %d" % (prod_chi["strong"], chi_g * chi_h)),
-        ("chi(lexicographic) <= chi_b(G) at b = chi(H)",
-         prod_chi["lexicographic"] <= chi_b_g,
-         "%d <= %d" % (prod_chi["lexicographic"], chi_b_g)),
-        ("chi(lexicographic) == chi_b(G) at b = chi(H)",
-         prod_chi["lexicographic"] == chi_b_g,
-         "%d == %d" % (prod_chi["lexicographic"], chi_b_g)),
-    ]
-    return {
-        "v": 1, "kind": "bounds_report",
-        "chi_g": chi_g, "chi_h": chi_h, "b": b, "chi_b_g": chi_b_g,
-        "products": prod_chi,
-        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        "all_ok": all(ok for _, ok, _ in checks),
-    }
 
 
 def _cmd_report_bounds(args) -> int:

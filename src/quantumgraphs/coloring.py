@@ -6,6 +6,10 @@ A coloring certificate is a family of projections P_a in M (x) M_d summing
 edge space: P_a (X (x) I) P_a = 0. Ancilla dimension 1 certifies an ordinary
 local coloring; any finite d > 1 certifies a quantum one. Commuting-operator
 variants admit no finite-dimensional certificate and are out of scope.
+
+The verifiers read a certificate as one (colors, d, d) stack and report
+rather than raise: no projections, or a combine_bfold/scale_bfold result
+that did not recompose, gives a failing report.
 """
 
 from __future__ import annotations
@@ -41,16 +45,8 @@ class ColoringCertificate:
         if self.fold < 1:
             raise ValueError("fold must be >= 1")
         d = self.graph_dim * self.ancilla_dim
-        mats = []
-        for p in self.projections:
-            m = as_matrix(p)
-            if m.shape != (d, d):
-                raise ValueError("projection shape %r does not match %d x %d"
-                                 % (m.shape, d, d))
-            m = m.copy()
-            m.flags.writeable = False
-            mats.append(m)
-        object.__setattr__(self, "projections", tuple(mats))
+        object.__setattr__(self, "projections",
+                           _frozen(self.projections, (d, d), "projection"))
 
     @property
     def colors(self) -> int:
@@ -102,39 +98,75 @@ class HomomorphismCertificate:
     kraus: tuple
 
     def __post_init__(self):
-        mats = []
         shape = (self.target_dim, self.source_dim * self.ancilla_dim)
-        for f in self.kraus:
-            m = as_matrix(f)
-            if m.shape != shape:
-                raise ValueError("Kraus shape %r does not match %r" % (m.shape, shape))
-            m = m.copy()
-            m.flags.writeable = False
-            mats.append(m)
-        object.__setattr__(self, "kraus", tuple(mats))
+        object.__setattr__(self, "kraus", _frozen(self.kraus, shape, "Kraus"))
+
+
+def _frozen(mats, shape: tuple, what: str) -> tuple:
+    """Read-only complex copies of ``mats``, each checked to have ``shape``."""
+    out = tuple(as_matrix(x).copy() for x in mats)
+    for m in out:
+        if m.shape != shape:
+            raise ValueError("%s shape %r does not match %r" % (what, m.shape, shape))
+        m.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
 # verifiers
+
+def _stack(cert: ColoringCertificate) -> np.ndarray:
+    """The projections as one (colors, d, d) stack, (0, d, d) for none, so
+    every check has one code path: an empty stack aggregates to 0."""
+    d = cert.total_dim
+    return np.array(cert.projections, dtype=np.complex128).reshape(-1, d, d)
+
 
 def _membership_space(m: BlockAlgebra, ancilla_dim: int) -> OperatorSubspace:
     return m.tensor(BlockAlgebra.full(ancilla_dim)).basis()
 
 
 def _edge_with_ancilla(graph: QuantumGraph, ancilla_dim: int) -> np.ndarray:
-    eye = np.eye(ancilla_dim)
-    if graph.S.dim == 0:
-        d = graph.n * ancilla_dim
-        return np.zeros((0, d, d), dtype=np.complex128)
-    return np.stack([np.kron(x, eye) for x in graph.S.basis])
+    """The edge basis X_k (x) I_ancilla as a (dim S, d, d) stack."""
+    return np.kron(graph.S.basis, np.eye(ancilla_dim))
+
+
+def _worst(x) -> float:
+    """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN.
+    Squares |x| in place, because x can be the largest array of a check."""
+    sq = np.abs(x)
+    sq *= sq
+    return float(np.max(np.sqrt(sq.sum(axis=(-2, -1))), initial=0.0))
 
 
 def _projection_residual(stack: np.ndarray) -> float:
-    if stack.shape[0] == 0:
-        return 0.0
+    """max over the stack of ||P^2 - P|| and ||P - P*||."""
     idem = stack @ stack - stack
     herm = stack - np.conj(np.transpose(stack, (0, 2, 1)))
-    return float(np.max(np.linalg.norm([idem, herm], axis=(2, 3))))
+    return _worst([idem, herm])
+
+
+def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
+    """max_a || P_a (X (x) I) P_a || over the edge basis."""
+    return float(np.max([_worst(p @ edge_ops @ p) for p in projs], initial=0.0))
+
+
+def _commutators(p: np.ndarray) -> np.ndarray:
+    """||P_i P_j - P_j P_i|| for every pair i < j, in np.triu_indices order."""
+    i, j = np.triu_indices(len(p), 1)
+    return np.linalg.norm(p[i] @ p[j] - p[j] @ p[i], axis=(1, 2))
+
+
+def _subset_products(p: np.ndarray, k: int):
+    """The k-subsets T of the colors in lexicographic order, as a (m, k)
+    index array, and the stack of products Q_T = prod_{a in T} P_a with the
+    factors in ascending order (immaterial once commutation holds)."""
+    subsets = np.array(list(combinations(range(len(p)), k)),
+                       dtype=np.intp).reshape(-1, k)
+    q = p[subsets[:, 0]]
+    for col in subsets.T[1:]:
+        q = q @ p[col]
+    return subsets, q
 
 
 def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
@@ -145,7 +177,7 @@ def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
     _check_cert_graph(graph, cert)
     rep = VerificationReport("coloring certificate (%d colors, type %s)"
                              % (cert.colors, cert.strategy_type))
-    p = np.stack(cert.projections)
+    p = _stack(cert)
     rep.add("projections", _projection_residual(p), tol)
     memb = _membership_space(graph.M, cert.ancilla_dim)
     rep.add("algebra_membership", memb.max_residual(p), tol)
@@ -157,26 +189,6 @@ def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
     return rep
 
 
-def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
-    """max_a || P_a (X (x) I) P_a || over the edge basis."""
-    if edge_ops.shape[0] == 0 or projs.shape[0] == 0:
-        return 0.0
-    worst = [np.linalg.norm(p @ edge_ops @ p, axis=(1, 2)).max() for p in projs]
-    return float(np.max(worst))
-
-
-def _pvm_products(projs, colors: int, fold: int):
-    """Q_T = prod_{a in T} P_a for every b-subset T, factors in ascending
-    order (order is immaterial once commutation holds)."""
-    out = []
-    for t in combinations(range(colors), fold):
-        q = projs[t[0]]
-        for a in t[1:]:
-            q = q @ projs[a]
-        out.append((t, q))
-    return out
-
-
 def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
                  tol: float = DEFAULT_TOL) -> VerificationReport:
     """Verify a b-fold coloring certificate against a quantum graph.
@@ -184,47 +196,39 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     Beyond the fold-1 checks this verifies pairwise commutation, the
     partition of identity over b-subset products, the induced subset PVM
     (projections, orthogonality, and the Q_S (X (x) I) Q_T = 0 condition for
-    overlapping subsets), and vanishing of (b+1)-fold products.
+    overlapping subsets; omitted when there are fewer colors than the fold),
+    and vanishing of (b+1)-fold products. The pairwise PVM checks take one
+    subset at a time against all partners: memory O(m * dim S * d^2).
     """
     _check_cert_graph(graph, cert)
     b, c = cert.fold, cert.colors
     rep = VerificationReport("%d-fold coloring certificate (%d colors, type %s)"
                              % (b, c, cert.strategy_type))
-    p = np.stack(cert.projections) if c else np.zeros(
-        (0, cert.total_dim, cert.total_dim), dtype=np.complex128)
+    p = _stack(cert)
     rep.add("projections", _projection_residual(p), tol)
     memb = _membership_space(graph.M, cert.ancilla_dim)
     rep.add("algebra_membership", memb.max_residual(p), tol)
+    rep.add("commutation", np.max(_commutators(p), initial=0.0), tol)
 
-    comm = [hs_norm(p[i] @ p[j] - p[j] @ p[i])
-            for i in range(c) for j in range(i + 1, c)]
-    rep.add("commutation", np.max(comm, initial=0.0), tol)
-
-    qfam = _pvm_products(p, c, b)
-    total = sum((q for _, q in qfam),
-                np.zeros((cert.total_dim, cert.total_dim), dtype=np.complex128))
+    subsets, q = _subset_products(p, b)
     rep.add("partition_of_identity",
-            hs_norm(total - np.eye(cert.total_dim)), tol)
+            hs_norm(q.sum(axis=0) - np.eye(cert.total_dim)), tol)
 
     edge_ops = _edge_with_ancilla(graph, cert.ancilla_dim)
     rep.add("coloring_condition", _sandwich_residual(p, edge_ops), tol)
 
-    if qfam:
-        qstack = np.stack([q for _, q in qfam])
-        rep.add("pvm_projections", _projection_residual(qstack), tol)
-        ortho = []
-        qcol = []
-        for i, (s, qs) in enumerate(qfam):
-            for j, (t, qt) in enumerate(qfam):
-                if i < j:
-                    ortho.append(hs_norm(qs @ qt))
-                if i != j and set(s) & set(t) and edge_ops.shape[0]:
-                    qcol.append(np.linalg.norm(qs @ edge_ops @ qt, axis=(1, 2)).max())
-        rep.add("pvm_orthogonality", np.max(ortho, initial=0.0), tol)
-        rep.add("pvm_coloring_condition", np.max(qcol, initial=0.0), tol)
+    m = len(subsets)
+    if m:
+        rep.add("pvm_projections", _projection_residual(q), tol)
+        member = (subsets[:, :, None] == np.arange(c)).any(axis=1)
+        overlap = (member @ member.T) & ~np.eye(m, dtype=bool)
+        ortho = [_worst(q[s] @ q[s + 1:]) for s in range(m)]
+        qcol = [_worst(q[s] @ edge_ops @ q[overlap[s]][:, None]) for s in range(m)]
+        rep.add("pvm_orthogonality", np.max(ortho), tol)
+        rep.add("pvm_coloring_condition", np.max(qcol), tol)
 
-    long_res = [hs_norm(q) for _, q in _pvm_products(p, c, b + 1)]
-    rep.add("long_products_vanish", np.max(long_res, initial=0.0), tol)
+    _, long_products = _subset_products(p, b + 1)
+    rep.add("long_products_vanish", _worst(long_products), tol)
     return rep
 
 
@@ -247,14 +251,13 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
     tp = sum(f.conj().T @ f for f in fs) - np.eye(d_in)
     rep.add("trace_preserving", hs_norm(tp), tol)
 
-    eye = np.eye(cert.ancilla_dim)
     edge_ops = _edge_with_ancilla(source, cert.ancilla_dim)
     mapped = [fi @ edge_ops @ fj.conj().T for fi in fs for fj in fs]
     rep.add("edge_space_mapped", target.S.max_residual(mapped), tol)
 
     src_comm = source.M.commutant().basis()
     dst_comm = target.M.commutant().basis()
-    yi = np.stack([np.kron(y, eye) for y in src_comm.basis])
+    yi = np.kron(src_comm.basis, np.eye(cert.ancilla_dim))
     mapped_c = [fi @ yi @ fj.conj().T for fi in fs for fj in fs]
     rep.add("commutant_mapped", dst_comm.max_residual(mapped_c), tol)
     return rep
@@ -266,14 +269,17 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
 def pvm_from_bfold(cert: ColoringCertificate, tol: float = DEFAULT_TOL):
     """The subset PVM: list of (b-subset, Q_T) with Q_T = prod_{a in T} P_a.
 
-    Requires pairwise commuting projections; raises otherwise.
+    Requires pairwise commuting projections; raises on the first pair whose
+    commutator is not within ``tol`` (a NaN commutator included).
     """
-    p = cert.projections
-    for i in range(cert.colors):
-        for j in range(i + 1, cert.colors):
-            if hs_norm(p[i] @ p[j] - p[j] @ p[i]) > tol:
-                raise ValueError("projections %d and %d do not commute" % (i, j))
-    return _pvm_products(p, cert.colors, cert.fold)
+    p = _stack(cert)
+    bad = np.flatnonzero(~(_commutators(p) <= tol))
+    if bad.size:
+        i, j = np.triu_indices(cert.colors, 1)
+        raise ValueError("projections %d and %d do not commute"
+                         % (i[bad[0]], j[bad[0]]))
+    subsets, q = _subset_products(p, cert.fold)
+    return list(zip(map(tuple, subsets.tolist()), q))
 
 
 def bfold_from_pvm(family, colors: int, fold: int, graph_dim: int,
@@ -325,17 +331,16 @@ def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
 
 
 def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
-                  cert2: ColoringCertificate, tol: float = DEFAULT_TOL,
-                  strict: bool = True):
+                  cert2: ColoringCertificate, tol: float = DEFAULT_TOL):
     """Join two fold certificates on the same graph into a
     (b1+b2)-fold coloring on the disjoint union of the palettes.
 
     The subset PVMs are embedded with independent ancilla legs and met
     pairwise: Q_{S union (T+c1)} = (Q1_S tensored into legs (g, n1, n2))
     meet (Q2_T likewise). The meet need not distribute over the sums that
-    rebuild the P_a, so the result is verified and returned together with
-    its report; with ``strict`` a failing construction raises (the report
-    and certificate stay attached to the exception).
+    rebuild the P_a, so the result is verified and returned as
+    (certificate, report); a construction that did not recompose comes back
+    with a failing report rather than an exception.
     """
     if cert1.graph_dim != graph.n or cert2.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
@@ -354,16 +359,11 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
             subset = tuple(sorted(s + tuple(a + c1 for a in t)))
             family.append((subset, projection_meet(a_s, b_t, tol)))
     cert = bfold_from_pvm(family, c1 + c2, fold, n, d1 * d2)
-    rep = verify_bfold(graph, cert, tol)
-    if strict and not rep.passed:
-        raise VerificationFailure("combined certificate fails verification "
-                                  "(the subset meets did not recompose)",
-                                  rep, cert)
-    return cert, rep
+    return cert, verify_bfold(graph, cert, tol)
 
 
 def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
-                tol: float = DEFAULT_TOL, strict: bool = True):
+                tol: float = DEFAULT_TOL):
     """b palette-disjoint copies of a 1-fold coloring, joined into a b-fold
     one. Returns (certificate, report) like combine_bfold."""
     if cert.fold != 1:
@@ -372,9 +372,9 @@ def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
         raise ValueError("fold must be >= 1")
     if b == 1:
         return cert, verify_bfold(graph, cert, tol)
-    out, rep = combine_bfold(graph, cert, cert, tol, strict)
+    out, rep = combine_bfold(graph, cert, cert, tol)
     for _ in range(b - 2):
-        out, rep = combine_bfold(graph, out, cert, tol, strict)
+        out, rep = combine_bfold(graph, out, cert, tol)
     return out, rep
 
 
@@ -532,19 +532,15 @@ def complete_lower_bound_extract(graph: QuantumGraph,
     u = graph.M.conjugator
     rep = VerificationReport("complete graph lower bound extraction "
                              "(block (%d, %d), fold %d)" % (d, k, cert.fold))
-    idem, herm = [], []
-    total = np.zeros((dn, dn), dtype=np.complex128)
-    for p in cert.projections:
-        if u is not None:
-            w = np.kron(u, np.eye(dn))
-            p = w.conj().T @ p @ w
-        r = (k / d) * np.trace(p.reshape(n, dn, n, dn), axis1=0, axis2=2)
-        idem.append(hs_norm(r @ r - r))
-        herm.append(hs_norm(r - r.conj().T))
-        total = total + r
-    rep.add("idempotent", np.max(idem, initial=0.0), tol)
-    rep.add("self_adjoint", np.max(herm, initial=0.0), tol)
-    rep.add("sum_rule", hs_norm(total - cert.fold * k * k * np.eye(dn)), tol)
+    p = _stack(cert)
+    if u is not None:
+        w = np.kron(u, np.eye(dn))
+        p = w.conj().T @ p @ w
+    r = (k / d) * np.trace(p.reshape(-1, n, dn, n, dn), axis1=1, axis2=3)
+    rep.add("idempotent", _worst(r @ r - r), tol)
+    rep.add("self_adjoint", _worst(r - np.conj(np.transpose(r, (0, 2, 1)))), tol)
+    rep.add("sum_rule", hs_norm(r.sum(axis=0) - cert.fold * k * k * np.eye(dn)),
+            tol)
     rep.notes.append("a passing extraction forces colors >= fold * dim M = %d"
                      % (cert.fold * k * k))
     return rep
@@ -557,15 +553,9 @@ def to_local_cert(graph: ClassicalGraph,
                   assignment: BFoldAssignment) -> ColoringCertificate:
     """Diagonal certificate of a classical b-fold coloring (ancilla 1)."""
     assignment.validate(graph)
-    n = graph.vertex_count
-    projs = []
-    for a in range(assignment.palette_size):
-        p = np.zeros((n, n), dtype=np.complex128)
-        for v in range(n):
-            if a in assignment.assignment[v]:
-                p[v, v] = 1.0
-        projs.append(p)
-    return ColoringCertificate(n, 1, assignment.fold, tuple(projs))
+    projs = tuple(np.diag([1.0 if a in s else 0.0 for s in assignment.assignment])
+                  for a in range(assignment.palette_size))
+    return ColoringCertificate(graph.vertex_count, 1, assignment.fold, projs)
 
 
 def from_local_cert(graph: ClassicalGraph, cert: ColoringCertificate,

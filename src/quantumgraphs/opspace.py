@@ -181,15 +181,15 @@ class OperatorSubspace:
                              % (self.ambient_dim, other.ambient_dim))
 
 
-def orthonormalize(mats: Iterable, ambient_dim: int | None = None,
-                   cutoff: float = RANK_CUTOFF) -> OperatorSubspace:
+def orthonormalize(mats: Iterable,
+                   ambient_dim: int | None = None) -> OperatorSubspace:
     """HS-orthonormal basis of the span of a family of matrices.
 
-    Rank comes from a singular-value cutoff relative to the largest singular
-    value of the stacked, vectorized family (no sequential Gram-Schmidt). A
-    family that is already orthonormal is returned unchanged, which makes the
-    operation idempotent. The empty family gives the zero subspace and then
-    requires ``ambient_dim``.
+    Rank comes from the singular-value cutoff RANK_CUTOFF relative to the
+    largest singular value of the stacked, vectorized family (no sequential
+    Gram-Schmidt). A family that is already orthonormal is returned
+    unchanged, which makes the operation idempotent. The empty family gives
+    the zero subspace and then requires ``ambient_dim``.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -211,7 +211,7 @@ def orthonormalize(mats: Iterable, ambient_dim: int | None = None,
     _, sing, vh = np.linalg.svd(flat, full_matrices=False)
     rank = 0
     if sing.size and sing[0] > 0:
-        rank = int(np.sum(sing > cutoff * sing[0]))
+        rank = int(np.sum(sing > RANK_CUTOFF * sing[0]))
     return OperatorSubspace(n, vh[:rank].reshape(rank, n, n))
 
 

@@ -34,10 +34,11 @@ class BlockAlgebra:
 
     The algebra is U (sum_r I_{n_r} (x) M_{k_r}) U* for a block list
     [(n_1, k_1), ...] and a unitary conjugator U (None means identity);
-    n = sum_r n_r * k_r. ``dim`` is the linear dimension sum_r k_r^2.
+    n = sum_r n_r * k_r. ``dim`` is the linear dimension sum_r k_r^2. U must
+    be unitary to within DEFAULT_TOL.
     """
 
-    def __init__(self, blocks, conjugator=None, tol: float = DEFAULT_TOL):
+    def __init__(self, blocks, conjugator=None):
         blocks = tuple((int(n), int(k)) for n, k in blocks)
         if not blocks:
             raise ValueError("an algebra needs at least one block")
@@ -57,7 +58,7 @@ class BlockAlgebra:
             if u.shape != (d, d):
                 raise ValueError("conjugator shape %r does not match dimension %d"
                                  % (u.shape, d))
-            if hs_norm(u.conj().T @ u - np.eye(d)) > tol:
+            if hs_norm(u.conj().T @ u - np.eye(d)) > DEFAULT_TOL:
                 raise ValueError("conjugator is not unitary")
             if np.array_equal(u, np.eye(d)):
                 conjugator = None

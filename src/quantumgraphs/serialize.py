@@ -4,6 +4,10 @@ All matrices are written as {"dim": [rows, cols], "entries": [[re, im], ...]}
 in row-major order. Every document carries "v": 1 and a "kind" tag. Output
 is canonical (sorted keys, two-space indent, trailing newline) so dumps are
 bit-stable across loads.
+
+Reading is typed: integer fields must be JSON integers (not null, a bool or
+2.5), list and object fields must be lists and objects, and anything else
+raises ValueError naming the field by its JSON path.
 """
 
 from __future__ import annotations
@@ -13,12 +17,48 @@ import math
 
 import numpy as np
 
-from .classical import ClassicalGraph, graph_from_obj, graph_to_obj, parse_dimacs
+from .classical import ClassicalGraph, parse_dimacs
 from .coloring import ColoringCertificate, HomomorphismCertificate
-from .opspace import OperatorSubspace, as_matrix, orthonormalize
+from .opspace import as_matrix, orthonormalize
 from .qgraph import BlockAlgebra, QuantumGraph, from_classical
 
 SCHEMA_VERSION = 1
+
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _shown(x) -> str:
+    s = json.dumps(x, default=repr)
+    return s if len(s) <= 40 else s[:37] + "..."
+
+
+def _typed(x, kind: type, path: str):
+    """``x``, checked to be a JSON value of ``kind`` (int, list or dict); a
+    bool is not an int."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError("%s must be %s, got %s" % (path, _KINDS[kind], _shown(x)))
+    return x
+
+
+def _field(obj, key: str, kind: type, path: str):
+    """The field ``key`` of the JSON object at ``path``, typed by _typed."""
+    if key not in obj:
+        raise ValueError("%s: missing field %r" % (path, key))
+    return _typed(obj[key], kind, "%s.%s" % (path, key))
+
+
+def _is_int_pair(x) -> bool:
+    return (type(x) is list and len(x) == 2
+            and type(x[0]) is int and type(x[1]) is int)
+
+
+def _int_pairs(xs, path: str) -> list:
+    """``xs``, checked to be a JSON list of [integer, integer] pairs."""
+    for i, x in enumerate(_typed(xs, list, path)):
+        if not _is_int_pair(x):
+            raise ValueError("%s[%d] must be a pair of integers, got %s"
+                             % (path, i, _shown(x)))
+    return xs
 
 
 def matrix_to_obj(m) -> dict:
@@ -29,25 +69,26 @@ def matrix_to_obj(m) -> dict:
             "entries": [[float(x.real), float(x.imag)] for x in flat]}
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     """The matrix of a {"dim", "entries"} object. Every entry must be a pair
     [re, im] of finite numbers; anything else raises ValueError naming it."""
-    try:
-        rows, cols = (int(d) for d in obj["dim"])
-        entries = obj["entries"]
-        count = len(entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("malformed matrix object: %s" % exc) from None
+    dim = _typed(obj, dict, path).get("dim")
+    if not (_is_int_pair(dim) and min(dim) > 0):
+        raise ValueError("%s.dim must be a pair of positive integers, got %s"
+                         % (path, _shown(dim)))
+    rows, cols = dim
+    entries = _field(obj, "entries", list, path)
+    count = len(entries)
     if count != rows * cols:
-        raise ValueError("matrix claims %d x %d but has %d entries"
-                         % (rows, cols, count))
+        raise ValueError("%s claims %d x %d but has %d entries"
+                         % (path, rows, cols, count))
     try:
         pairs = np.asarray(entries) if count else np.zeros((0, 2))
     except (TypeError, ValueError, OverflowError):
         pairs = None
     if (pairs is None or pairs.shape != (count, 2)
             or pairs.dtype.kind not in "iuf" or not np.isfinite(pairs).all()):
-        raise ValueError(_bad_entry(entries))
+        raise ValueError("%s: %s" % (path, _bad_entry(entries)))
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
     return pairs.view(np.complex128).reshape(rows, cols)
 
@@ -67,10 +108,12 @@ def algebra_to_obj(m: BlockAlgebra) -> dict:
             else matrix_to_obj(m.conjugator)}
 
 
-def algebra_from_obj(obj) -> BlockAlgebra:
+def algebra_from_obj(obj, path: str = "algebra") -> BlockAlgebra:
+    _typed(obj, dict, path)
+    blocks = _int_pairs(_field(obj, "blocks", list, path), path + ".blocks")
     conj = obj.get("conjugator")
-    return BlockAlgebra([(int(n), int(k)) for n, k in obj["blocks"]],
-                        None if conj is None else matrix_from_obj(conj))
+    return BlockAlgebra(blocks, None if conj is None
+                        else matrix_from_obj(conj, path + ".conjugator"))
 
 
 def quantum_graph_to_obj(g: QuantumGraph) -> dict:
@@ -81,11 +124,12 @@ def quantum_graph_to_obj(g: QuantumGraph) -> dict:
 
 def quantum_graph_from_obj(obj) -> QuantumGraph:
     _expect(obj, "quantum_graph")
-    n = int(obj["dim"])
-    mats = [matrix_from_obj(x) for x in obj["S"]]
+    n = _field(obj, "dim", int, "quantum_graph")
+    mats = [matrix_from_obj(x, "quantum_graph.S[%d]" % i)
+            for i, x in enumerate(_field(obj, "S", list, "quantum_graph"))]
+    m = algebra_from_obj(obj.get("M"), "quantum_graph.M")
     # the stored family is a spanning set; span semantics survive the trip
-    s = orthonormalize(mats, ambient_dim=n) if mats else OperatorSubspace.zero(n)
-    return QuantumGraph(s, algebra_from_obj(obj["M"]))
+    return QuantumGraph(orthonormalize(mats, ambient_dim=n), m)
 
 
 def certificate_to_obj(c: ColoringCertificate) -> dict:
@@ -97,9 +141,12 @@ def certificate_to_obj(c: ColoringCertificate) -> dict:
 
 def certificate_from_obj(obj) -> ColoringCertificate:
     _expect(obj, "certificate")
-    return ColoringCertificate(
-        int(obj["graph_dim"]), int(obj["ancilla_dim"]), int(obj["fold"]),
-        tuple(matrix_from_obj(p) for p in obj["projections"]))
+    dims = [_field(obj, k, int, "certificate")
+            for k in ("graph_dim", "ancilla_dim", "fold")]
+    projs = _field(obj, "projections", list, "certificate")
+    return ColoringCertificate(*dims, tuple(
+        matrix_from_obj(p, "certificate.projections[%d]" % i)
+        for i, p in enumerate(projs)))
 
 
 def homomorphism_to_obj(h: HomomorphismCertificate) -> dict:
@@ -111,10 +158,26 @@ def homomorphism_to_obj(h: HomomorphismCertificate) -> dict:
 
 def homomorphism_from_obj(obj) -> HomomorphismCertificate:
     _expect(obj, "homomorphism")
-    return HomomorphismCertificate(
-        int(obj["source_dim"]), int(obj["target_dim"]),
-        int(obj["ancilla_dim"]),
-        tuple(matrix_from_obj(f) for f in obj["kraus"]))
+    dims = [_field(obj, k, int, "homomorphism")
+            for k in ("source_dim", "target_dim", "ancilla_dim")]
+    kraus = _field(obj, "kraus", list, "homomorphism")
+    return HomomorphismCertificate(*dims, tuple(
+        matrix_from_obj(f, "homomorphism.kraus[%d]" % i)
+        for i, f in enumerate(kraus)))
+
+
+def graph_to_obj(g: ClassicalGraph) -> dict:
+    return {"v": SCHEMA_VERSION, "kind": "classical_graph",
+            "vertices": g.vertex_count,
+            "edges": [[u, v] for u, v in sorted(g.edges)]}
+
+
+def graph_from_obj(obj) -> ClassicalGraph:
+    _expect(obj, "classical_graph")
+    return ClassicalGraph(
+        _field(obj, "vertices", int, "classical_graph"),
+        _int_pairs(_field(obj, "edges", list, "classical_graph"),
+                   "classical_graph.edges"))
 
 
 def _expect(obj, kind: str) -> None:
@@ -170,5 +233,5 @@ __all__ = [
     "algebra_from_obj", "quantum_graph_to_obj", "quantum_graph_from_obj",
     "certificate_to_obj", "certificate_from_obj", "homomorphism_to_obj",
     "homomorphism_from_obj", "dumps", "save", "load_json",
-    "load_classical_graph", "load_any_graph", "graph_to_obj",
+    "load_classical_graph", "load_any_graph", "graph_to_obj", "graph_from_obj",
 ]

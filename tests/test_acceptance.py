@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import quantumgraphs as qg
-from quantumgraphs.cli import bounds_report
+from quantumgraphs.classical import bounds_report
 from quantumgraphs.products import classical_crosscheck, product
 
 

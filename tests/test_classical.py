@@ -124,12 +124,6 @@ def test_max_independent_set_against_brute_force(seed):
     assert len(s) == brute_alpha(g)
 
 
-def test_max_independent_set_within():
-    c5 = qg.cycle(5)
-    s = max_independent_set(c5, within={0, 1, 2})
-    assert s <= {0, 1, 2} and len(s) == 2
-
-
 def test_clique_number_known_values():
     assert clique_number(qg.complete(4)) == 4
     assert clique_number(qg.cycle(5)) == 2

@@ -209,6 +209,49 @@ def test_bad_certificate_entry_is_exit_two(files, capsys, entry, shown):
     assert "entry 3" in err and shown in err
 
 
+def _edit(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# (input file, command, JSON path to overwrite, value, field named in the error)
+MALFORMED = [
+    ("kq_m2", "verify-graph", ["dim"], None, "quantum_graph.dim"),
+    ("kq_m2", "verify-graph", ["S"], 5, "quantum_graph.S"),
+    ("kq_m2", "verify-graph", ["M"], None, "quantum_graph.M"),
+    ("kq_m2", "verify-graph", ["M", "blocks"], [[1, 2.5]], "quantum_graph.M.blocks[0]"),
+    ("kq_m2", "verify-graph", ["S", 0, "dim"], [2.0, 2], "quantum_graph.S[0].dim"),
+    ("kq_m2", "verify-graph", ["S", 0, "dim"], [-1, -4], "quantum_graph.S[0].dim"),
+    ("bell2", "color", ["graph_dim"], None, "certificate.graph_dim"),
+    ("bell2", "color", ["fold"], True, "certificate.fold"),
+    ("bell2", "color", ["projections"], {}, "certificate.projections"),
+    ("k3_json", "chi", ["vertices"], None, "classical_graph.vertices"),
+    ("k3_json", "chi", ["vertices"], 2.5, "classical_graph.vertices"),
+    ("k3_json", "chi", ["edges"], 5, "classical_graph.edges"),
+    ("k3_json", "chi", ["edges", 1], [0, "2"], "classical_graph.edges[1]"),
+]
+
+
+@pytest.mark.parametrize("name, command, path, value, field", MALFORMED,
+                         ids=["-".join(map(str, [c[0]] + c[2])) for c in MALFORMED])
+def test_malformed_field_is_exit_two(files, capsys, name, command, path, value, field):
+    if name == "k3_json":
+        obj = ser.graph_to_obj(qg.complete(3))
+    else:
+        obj = ser.load_json(files[name])
+    _edit(obj, path, value)
+    bad = files["dir"] / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    argv = {"verify-graph": ["verify-graph", str(bad)],
+            "color": ["color", "verify", files["kq_m2"], str(bad)],
+            "chi": ["classical", "chi", str(bad)]}[command]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + field + " ")
+
+
 def test_size_guard_is_exit_three(files, capsys):
     big = files["dir"] / "k27.col"
     big.write_text(qg.to_dimacs(qg.complete(27)))

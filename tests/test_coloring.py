@@ -193,13 +193,9 @@ def test_combine_bfold_can_fail_legitimately(bell2):
     # two copies of a maximally entangled coloring cannot share the graph
     # system, so the meet loses the partition property
     g = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
-    with pytest.raises(VerificationFailure) as exc:
-        combine_bfold(g, bell2, bell2)
-    assert exc.value.report is not None
-    failed = [c.name for c in exc.value.report.failures()]
-    assert any("partition" in name for name in failed)
-    cert, rep = combine_bfold(g, bell2, bell2, strict=False)
+    cert, rep = combine_bfold(g, bell2, bell2)
     assert not rep.passed
+    assert "partition_of_identity" in [c.name for c in rep.failures()]
     assert cert.fold == 2
 
 
