@@ -14,7 +14,8 @@ from math import comb
 
 
 class SizeGuardError(RuntimeError):
-    """An exact-solver instance exceeds the supported size."""
+    """An input exceeds a supported size: an exact solver's instance limit
+    or the dense operator layer's byte limit (qgraph.DENSE_BYTES_LIMIT)."""
 
 
 _CHROMATIC_VERTEX_LIMIT = 26

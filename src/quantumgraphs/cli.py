@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or input format error, 3 solver size guard exceeded.
+2 usage or input format error, 3 size guard exceeded (an exact solver's or
+the dense operator layer's).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classical import PRODUCT_KINDS, ClassicalGraph, classical_product
 from .opspace import DEFAULT_TOL, OperatorSubspace, orthonormalize
-from .qgraph import QuantumGraph, from_classical
+from .qgraph import QuantumGraph, check_dense_size, from_classical
 from .report import VerificationReport
 
 #: Shown whenever a lexicographic product is reported: the second summand of
@@ -23,20 +23,28 @@ LEXICOGRAPHIC_NOTE = ("lexicographic product: edge space is "
                       "(left factor's commutant in the second summand)")
 
 
-def _product_parts(g: QuantumGraph, h: QuantumGraph, kind: str):
-    sg, sh = g.S, h.S
-    mgp = g.M.commutant().basis()
-    mhp = h.M.commutant().basis()
-    if kind == "cartesian":
-        return [sg.tensor(mhp), mgp.tensor(sh)]
-    if kind == "categorical":
-        return [sg.tensor(sh)]
-    if kind == "lexicographic":
-        return [sg.tensor(OperatorSubspace.full(h.n)), mgp.tensor(sh)]
-    if kind == "strong":
-        return [sg.tensor(mhp), mgp.tensor(sh), sg.tensor(sh)]
-    raise ValueError("unknown product kind %r; expected one of %r"
-                     % (kind, PRODUCT_KINDS))
+#: The tensor factors of each product's edge space, left factor first: "S"
+#: is a factor's edge space, "C" its commutant M' and "B" all of B(H).
+_PART_FACTORS = {
+    "cartesian": (("S", "C"), ("C", "S")),
+    "categorical": (("S", "S"),),
+    "lexicographic": (("S", "B"), ("C", "S")),
+    "strong": (("S", "C"), ("C", "S"), ("S", "S")),
+}
+
+
+def _factor_dim(g: QuantumGraph, which: str) -> int:
+    # M' has a block (k, m) for each block (m, k) of M, so dim M' = sum m^2
+    commutant_dim = sum(m * m for m, _ in g.M.blocks)
+    return {"S": g.S.dim, "C": commutant_dim, "B": g.n * g.n}[which]
+
+
+def _factor(g: QuantumGraph, which: str) -> OperatorSubspace:
+    if which == "S":
+        return g.S
+    if which == "C":
+        return g.M.commutant().basis()
+    return OperatorSubspace.full(g.n)
 
 
 def product(g: QuantumGraph, h: QuantumGraph, kind: str) -> QuantumGraph:
@@ -44,10 +52,23 @@ def product(g: QuantumGraph, h: QuantumGraph, kind: str) -> QuantumGraph:
 
     The assembled spanning family is re-orthonormalized once at the end; for
     valid inputs its parts are already mutually orthogonal, so the computed
-    dimension equals the exact counting formula for the kind.
+    dimension equals the exact counting formula for the kind. The family's
+    size is known from the factors' dimensions, so an input whose family
+    would exceed DENSE_BYTES_LIMIT raises SizeGuardError before any part
+    is built.
     """
-    parts = _product_parts(g, h, kind)
+    if kind not in _PART_FACTORS:
+        raise ValueError("unknown product kind %r; expected one of %r"
+                         % (kind, PRODUCT_KINDS))
+    pairs = _PART_FACTORS[kind]
     n = g.n * h.n
+    count = sum(_factor_dim(g, a) * _factor_dim(h, b) for a, b in pairs)
+    check_dense_size(16 * count * n * n,
+                     "the %s product's spanning family (%d matrices of dimension %d)"
+                     % (kind, count, n))
+    left = {a: _factor(g, a) for a, _ in pairs}
+    right = {b: _factor(h, b) for _, b in pairs}
+    parts = [left[a].tensor(right[b]) for a, b in pairs]
     stacked = [b for part in parts for b in part.basis]
     s = orthonormalize(stacked, ambient_dim=n)
     return QuantumGraph(s, g.M.tensor(h.M))

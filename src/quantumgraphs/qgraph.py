@@ -8,16 +8,31 @@ with M the diagonal algebra.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .classical import SizeGuardError
 from .opspace import (DEFAULT_TOL, OperatorSubspace, as_matrix, hs_norm,
                       orthonormalize)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
     from .classical import ClassicalGraph
+
+#: Largest dense operator work, in bytes, that a product construction (its
+#: spanning family) or the bimodule check (its complement projector and one
+#: residual block) may allocate: 256 MiB. Peak memory is a small multiple of
+#: it. Larger inputs raise SizeGuardError before anything is allocated.
+DENSE_BYTES_LIMIT = 2 ** 28
+
+
+def check_dense_size(nbytes: int, what: str) -> None:
+    """Raise SizeGuardError when ``what`` needs more than DENSE_BYTES_LIMIT."""
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise SizeGuardError("%s needs %.3g GiB of dense arrays (limit %.3g GiB)"
+                             % (what, nbytes / 2 ** 30, DENSE_BYTES_LIMIT / 2 ** 30))
 
 
 def _swap_matrix(a: int, b: int) -> np.ndarray:
@@ -157,12 +172,13 @@ class BlockAlgebra:
         return BlockAlgebra(self.blocks, u.conj().T @ cur)
 
     def equals(self, other: "BlockAlgebra", tol: float = DEFAULT_TOL) -> bool:
-        if self.blocks != other.blocks:
-            return False
-        n = self.ambient_dim
-        a = self.conjugator if self.conjugator is not None else np.eye(n)
-        b = other.conjugator if other.conjugator is not None else np.eye(n)
-        return hs_norm(a - b) <= tol
+        """Same algebra: the same blocks up to order and the same span.
+
+        Conjugators are not compared; different ones can give one algebra,
+        for example any diagonal unitary leaves D_n in place.
+        """
+        return (sorted(self.blocks) == sorted(other.blocks)
+                and self.basis().equals_span(other.basis(), tol))
 
 
 class QuantumGraph:
@@ -188,6 +204,44 @@ class QuantumGraph:
         return "QuantumGraph(n=%d, dim S=%d, M=%r)" % (self.n, self.S.dim, self.M)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """HS norm of each row of a C-contiguous complex matrix; squares x in place."""
+    v = x.view(np.float64)
+    v *= v
+    return np.sqrt(v.sum(axis=1))
+
+
+def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
+    """Largest residual ||x - P_S x|| / max(1, ||x||) over x = a s_j and
+    x = s_j a, for every basis unit a of the commutant and basis element
+    s_j of S, without forming the products; see verify_quantum_graph."""
+    n, k = s.ambient_dim, s.dim
+    check_dense_size(16 * n * n * (n * n + k),
+                     "the bimodule check on dimension %d" % n)
+    w = commutant.conjugator
+    t = s.basis if w is None else w.conj().T @ s.basis @ w
+    f = t.reshape(k, n * n)
+    # I - F*F formed in place, so only one n^2 x n^2 array is held
+    comp = f.conj().T @ f
+    np.negative(comp, out=comp)
+    comp.flat[::n * n + 1] += 1.0
+    comp = comp.reshape(n, n, n * n)
+    worst = [0.0]
+    for (mult, d), off in zip(commutant.blocks, commutant._offsets):
+        copies = [slice(off + p, off + mult * d, d) for p in range(d)]
+        for p, q in itertools.product(range(d), repeat=2):
+            # unit (p, q): left copies rows q to rows p, right copies
+            # columns p to columns q, in each of the mult copies
+            for x, rows in ((t[:, copies[q], :], comp[copies[p], :]),
+                            (t[:, :, copies[p]], comp[:, copies[q]])):
+                x = x.reshape(k, mult * n) / np.sqrt(mult)
+                res = x @ rows.reshape(mult * n, n * n)
+                worst.append(np.max(_row_norms(res)
+                                    / np.maximum(1.0, _row_norms(x)),
+                                    initial=0.0))
+    return float(np.max(worst))
+
+
 def verify_quantum_graph(graph: QuantumGraph,
                          tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check the three axioms and report per-check residuals.
@@ -195,18 +249,25 @@ def verify_quantum_graph(graph: QuantumGraph,
     Bimodule closure over M' is checked one-sidedly on the matrix-unit
     generators of M'; since M' is a unital algebra spanned by them, left and
     right closure under every generator is equivalent to the two-sided
-    A X B condition.
+    A X B condition. The products are never formed. S is conjugated once
+    into the commutant's standard frame, T = W* S W with W the commutant's
+    conjugator, which leaves every HS residual unchanged. There the unit
+    (p, q) of a block (m, d) at offset o is (1/sqrt m) sum_i E_{o+id+p,
+    o+id+q}, so a t_j times a unit is a slice of t_j: m rows (left) or m
+    columns (right), moved and scaled. The residual of such a slice x is
+    x times the matching rows of the complement projector I - F*F (F the
+    flattened basis of T, acting on row vectors), so one matmul per unit
+    and side gives the residual vectors of every t_j. The projector holds
+    n^4 entries and is guarded by DENSE_BYTES_LIMIT.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S
-    mp = graph.M.commutant().basis()
+    commutant = graph.M.commutant()
+    mp = commutant.basis()
 
     adj = np.conj(np.transpose(s.basis, (0, 2, 1)))
     rep.add("adjoint_closed", s.max_residual(adj), tol)
-
-    left = s.max_residual(mp.basis[:, None] @ s.basis)
-    right = s.max_residual(s.basis @ mp.basis[:, None])
-    rep.add("bimodule", np.max([left, right]), tol)
+    rep.add("bimodule", _bimodule_residual(s, commutant), tol)
 
     if s.dim and mp.dim:
         gram = s._flat @ mp._flat.conj().T

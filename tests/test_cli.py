@@ -259,6 +259,17 @@ def test_size_guard_is_exit_three(files, capsys):
     assert main(["classical", "kneser", "20", "10"]) == EXIT_SIZE
 
 
+def test_dense_size_guard_is_exit_three(files, capsys):
+    k36 = files["dir"] / "k36.col"
+    k36.write_text(qg.to_dimacs(qg.complete(36)))
+    assert main(["product", "--kind", "strong", str(k36), str(k36)]) == EXIT_SIZE
+    assert "strong product's spanning family" in capsys.readouterr().err
+    empty = files["dir"] / "e65.col"
+    empty.write_text(qg.to_dimacs(qg.ClassicalGraph(65, [])))
+    assert main(["verify-graph", str(empty)]) == EXIT_SIZE
+    assert capsys.readouterr().err.startswith("size guard: the bimodule check")
+
+
 def test_console_script_is_wired():
     proc = subprocess.run([sys.executable, "-m", "quantumgraphs.cli", "--help"],
                           capture_output=True, text=True)

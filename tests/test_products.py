@@ -1,5 +1,7 @@
 """Quantum graph products and the classical cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from quantumgraphs import products
 from quantumgraphs.opspace import orthonormalize, permute_systems
 from quantumgraphs.products import (
     LEXICOGRAPHIC_NOTE, classical_crosscheck, product)
+from quantumgraphs.qgraph import DENSE_BYTES_LIMIT, check_dense_size
 
 
 def embedded(g):
@@ -145,3 +148,50 @@ def test_classical_crosscheck_fails_on_a_relabeled_product(monkeypatch):
         rep = classical_crosscheck(g, h, kind)
         assert not rep.passed, kind
         assert "edge_space_match" in [c.name for c in rep.failures()], kind
+
+
+def test_dense_size_guard_boundary():
+    check_dense_size(DENSE_BYTES_LIMIT, "at the limit")
+    with pytest.raises(qg.SizeGuardError, match="one byte over"):
+        check_dense_size(DENSE_BYTES_LIMIT + 1, "one byte over")
+
+
+@pytest.mark.parametrize("kind", qg.PRODUCT_KINDS)
+def test_product_of_two_k36_trips_the_guard_before_allocating(kind):
+    k36 = embedded(qg.complete(36))
+    tracemalloc.start()
+    try:
+        with pytest.raises(qg.SizeGuardError, match="%s product" % kind):
+            product(k36, k36, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the smallest part alone would be about 2 TB
+
+
+def test_ambient_36_lexicographic_product_verifies():
+    """R6[R6] at ambient dimension 36, which the dense bimodule stack
+    (about 1.2 GB) kept out of reach."""
+    r6 = qg.random_graph(6, 0.5, 7)
+    p = product(embedded(r6), embedded(r6), "lexicographic")
+    assert p.n == 36
+    assert p.S.dim == 2 * r6.edge_count * 36 + 6 * 2 * r6.edge_count
+    rep = qg.verify_quantum_graph(p)
+    assert rep.passed, "\n%s" % rep
+    assert [c.name for c in rep.checks] == [
+        "adjoint_closed", "bimodule", "orthogonal_to_commutant"]
+
+
+def test_verify_peak_memory_stays_far_below_the_product_stack():
+    """With the dense bimodule stack (25 * 300 matrices of 25 x 25 per
+    side) this verify peaked at about 252 MiB under tracemalloc; the
+    slice-based check needs about 15 MiB."""
+    c5 = embedded(qg.cycle(5))
+    p = product(c5, c5, "lexicographic")
+    tracemalloc.start()
+    try:
+        assert qg.verify_quantum_graph(p).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak

@@ -137,6 +137,27 @@ def test_is_subgraph_rejects_mismatched_graphs():
         qg.is_subgraph(c4, full4)  # same dimension, different algebra
 
 
+def test_is_subgraph_compares_algebras_not_conjugators(haar):
+    """A diagonal unitary changes D_3's conjugator but not D_3 itself."""
+    moved = qg.conjugate_graph(qg.from_classical(qg.cycle(3)), np.diag([1, 1j, -1]))
+    assert moved.M.conjugator is not None
+    complete = qg.complete_quantum_graph(BlockAlgebra.diagonal(3))
+    assert moved.M.equals(complete.M) and complete.M.equals(moved.M)
+    assert qg.is_subgraph(moved, complete)
+    path = qg.conjugate_graph(qg.from_classical(qg.path(3)), np.diag([1, 1j, -1]))
+    assert qg.is_subgraph(path, complete) and not qg.is_subgraph(complete, path)
+    assert not BlockAlgebra.diagonal(3).equals(BlockAlgebra.diagonal(3).conjugated_by(haar(3, 2)))
+
+
+def test_algebra_equality_ignores_block_order():
+    # C + M_2 on (e0 | e1, e2), and M_2 + C on (e0, e1 | e2) moved by e_i -> e_{i+1}
+    shift = np.roll(np.eye(3), 1, axis=0)
+    a = BlockAlgebra([(1, 1), (1, 2)])
+    assert a.equals(BlockAlgebra([(1, 2), (1, 1)], shift))
+    assert not a.equals(BlockAlgebra([(1, 2), (1, 1)]))
+    assert not a.equals(BlockAlgebra([(3, 1)]))
+
+
 def test_verify_rejects_reflexive_edge_space():
     base = qg.from_classical(qg.complete(3))
     s_bad = base.S.sum_with(orthonormalize([np.eye(3, dtype=complex)]))
@@ -177,3 +198,10 @@ def test_conjugate_graph_rejects_non_unitary():
     g = qg.from_classical(qg.complete(2))
     with pytest.raises(ValueError):
         qg.conjugate_graph(g, 2.0 * np.eye(2))
+
+
+def test_verify_trips_the_dense_guard_before_allocating():
+    """The complement projector at dimension 65 would take 285 MB."""
+    g = qg.QuantumGraph(qg.OperatorSubspace.zero(65), BlockAlgebra.diagonal(65))
+    with pytest.raises(qg.SizeGuardError, match="bimodule check on dimension 65"):
+        qg.verify_quantum_graph(g)
