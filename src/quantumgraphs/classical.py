@@ -488,45 +488,54 @@ def chromatic_exact(g: ClassicalGraph) -> int:
     return least(full, ub, alpha[full])
 
 
-def _bfold_feasible(g: ClassicalGraph, b: int, c: int):
-    """A proper b-fold coloring with palette [0, c), or None.
+def _cover_classes(adj: list, cand: int):
+    """Every maximal independent set of G[cand] as a bitset, for the
+    multicover search: Bron-Kerbosch with Tomita's pivot on the
+    complement, kept apart from _maximal_independent_sets (see
+    bfold_exact)."""
 
-    Vertices are processed in index order; candidate sets reuse any allowed
-    already-introduced colors and take fresh colors only as the next unused
-    indices, which breaks the color-permutation symmetry completely.
-    """
-    n = g.vertex_count
-    assign = [None] * n
+    def rec(cur: int, cand: int, done: int):
+        if not cand:
+            if not done:
+                yield cur
+            return
+        pivot = max(_bits(cand | done),
+                    key=lambda u: (cand & ~adj[u]).bit_count())
+        for w in _bits(cand & (adj[pivot] | (1 << pivot))):
+            free = ~adj[w] & ~(1 << w)
+            yield from rec(cur | (1 << w), cand & free, done & free)
+            cand &= ~(1 << w)
+            done |= 1 << w
 
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        forbidden = set()
-        for w in g.neighbors(v):
-            if assign[w] is not None:
-                forbidden |= assign[w]
-        avail = [col for col in range(used) if col not in forbidden]
-        for s in range(min(b, len(avail)), -1, -1):
-            fresh = b - s
-            if used + fresh > c:
-                continue
-            for reuse in combinations(avail, s):
-                assign[v] = frozenset(reuse) | frozenset(range(used, used + fresh))
-                if rec(v + 1, used + fresh):
-                    return True
-        assign[v] = None
-        return False
-
-    return tuple(assign) if rec(0, 0) else None
+    return rec(0, cand, 0)
 
 
 def bfold_exact(g: ClassicalGraph, b: int):
     """The b-fold chromatic number with a witness: (value, BFoldAssignment).
 
-    Exhaustive subset-assignment branch and bound. Lower bound:
-    max(b * omega, ceil(b * n / alpha)); upper bound: b palette-disjoint
-    copies of a greedy proper coloring. The witness is re-validated before
-    being returned.
+    A b-fold c-coloring is a multiset of c independent sets (the color
+    classes) that covers every vertex b times; covering a vertex more often
+    is harmless, since a class can drop it (Stahl, JCTB 1976;
+    Scheinerman-Ullman, Fractional Graph Theory, ch. 3). One branch and
+    bound descends on the demand vector, the number of classes each vertex
+    still needs: it takes the demanded vertex v with the fewest demanded
+    non-neighbours and branches on v joined to each maximal independent set
+    of the demanded non-neighbours of v. A branch lowers the demand of its
+    class by one and spends one color, so each vertex ends in exactly b
+    classes. A demand vector is cut off when the colors left cannot beat
+    the best cover found so far by ceil(total demand / alpha), by the total
+    demand of a greedy clique, or by an earlier failure of the same vector
+    with at least as many colors. The upper bound to beat is b copies of a DSATUR
+    coloring. alpha of the demanded vertices, the largest of their maximal
+    independent sets, is computed only when a greedy independent set cannot
+    rule that bound out, and is memoized per set. The search enumerates its
+    own independent sets and takes alpha from them: it shares no search
+    with chromatic_exact, so that chi(G[K_b]) = chi_b(G) (criterion 2)
+    compares two independent solvers.
+
+    Color i of the witness is the i-th class in lexicographic order of the
+    classes' sorted vertex lists. The witness is validated before it is
+    returned.
     """
     b = int(b)
     if b < 1:
@@ -542,23 +551,73 @@ def bfold_exact(g: ClassicalGraph, b: int):
         witness = BFoldAssignment(b, b, tuple(frozenset(range(b)) for _ in range(n)))
         witness.validate(g)
         return b, witness
-    alpha = len(max_independent_set(g))
-    lb = max(b * clique_number(g), -(-(b * n) // alpha))
+    adj = _adjacency_masks(g)
+    co_adj = _complement_masks(adj)
+    full = (1 << n) - 1
+    # the demand vector is b stacked n-bit levels: bit v of level j
+    # (j = 0..b-1) is set iff vertex v still needs more than j classes
+    shifts = [j * n for j in range(b)]
+    spread = sum(1 << shift for shift in shifts)
+    alpha = {}
+    fails = {}
+
+    def spend(demand: int, cls: int) -> int:
+        """The demand vector after one more class cls."""
+        rep = cls * spread
+        return (demand & ~rep) | ((demand >> n) & rep)
+
+    def clique_demand(demand: int) -> int:
+        """Total demand over a clique grown by largest demand, then degree."""
+        avail, total = demand & full, 0
+        while avail:
+            level = b
+            while not (top := demand >> shifts[level - 1] & avail):
+                level -= 1
+            pick = max(_bits(top), key=lambda u: (adj[u] & avail).bit_count())
+            total += level
+            avail &= adj[pick]
+        return total
+
+    def least(demand: int, bound: int, alpha_above: int):
+        """(min(colors needed, bound), the classes when below bound)."""
+        if not demand:
+            return 0, []
+        rest = demand & full
+        total = demand.bit_count()
+        alpha_above = alpha.get(rest, alpha_above)
+        lo = max(fails.get(demand, 0) + 1, -(-total // alpha_above))
+        if lo < bound:
+            lo = max(lo, clique_demand(demand))
+        if (lo < bound and rest not in alpha
+                and total > (bound - 1) * _greedy_clique_size(co_adj, rest)):
+            alpha[rest] = alpha_above = max(
+                cls.bit_count() for cls in _cover_classes(adj, rest))
+            lo = max(lo, -(-total // alpha_above))
+        best = None
+        if lo < bound:
+            v = min(_bits(rest), key=lambda u: (rest & ~adj[u]).bit_count())
+            inside = rest & ~adj[v] & ~(1 << v)
+            for cls in _cover_classes(adj, inside):
+                cls |= 1 << v
+                count, sub = least(spend(demand, cls), bound - 1, alpha_above)
+                if count + 1 < bound:
+                    bound, best = count + 1, [cls] + sub
+                    if bound == lo:
+                        break
+        fails[demand] = max(fails.get(demand, 0), max(lo, bound) - 1)
+        return bound, best
+
     greedy = _dsatur_greedy(g)
-    ub = b * (max(greedy) + 1)
-    ub_witness = tuple(frozenset(range(greedy[v] * b, greedy[v] * b + b))
-                       for v in range(n))
-    c = lb
-    while c < ub:
-        asg = _bfold_feasible(g, b, c)
-        if asg is not None:
-            witness = BFoldAssignment(c, b, asg)
-            witness.validate(g)
-            return c, witness
-        c += 1
-    witness = BFoldAssignment(ub, b, ub_witness)
+    value, classes = least(full * spread, b * (max(greedy) + 1), n)
+    if classes is None:
+        classes = [sum(1 << v for v in range(n) if greedy[v] == c)
+                   for c in range(value // b) for _ in range(b)]
+    classes.sort(key=lambda cls: list(_bits(cls)))
+    witness = BFoldAssignment(value, b, tuple(
+        frozenset(i for i, cls in enumerate(classes) if cls >> v & 1)
+        for v in range(n)))
     witness.validate(g)
-    return ub, witness
+    return value, witness
 
 
 def bounds_report(g: ClassicalGraph, h: ClassicalGraph) -> dict:

@@ -96,21 +96,6 @@ class OperatorSubspace:
     def __repr__(self):
         return "OperatorSubspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of a matrix onto the subspace."""
-        x = as_matrix(x)
-        self._check_ambient(x)
-        coeff = x.reshape(-1) @ self._flat.conj().T
-        return (coeff @ self._flat).reshape(x.shape)
-
-    def residual(self, x) -> float:
-        """HS distance from ``x`` to the subspace, relative to max(1, |x|)."""
-        x = as_matrix(x)
-        return float(hs_norm(x - self.project(x)) / max(1.0, hs_norm(x)))
-
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(x) <= tol
-
     def max_residual(self, stack) -> float:
         """Largest relative residual over a stack of matrices.
 
@@ -169,11 +154,6 @@ class OperatorSubspace:
         rank = int(np.sum(sing > RANK_CUTOFF * sing[0])) if sing.size else 0
         comp = vh[rank:]
         return OperatorSubspace(n, comp.reshape(-1, n, n))
-
-    def _check_ambient(self, x):
-        if x.shape != (self.ambient_dim, self.ambient_dim):
-            raise ValueError("matrix shape %r does not match ambient dimension %d"
-                             % (x.shape, self.ambient_dim))
 
     def _check_same_ambient(self, other):
         if other.ambient_dim != self.ambient_dim:

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from quantumgraphs.opspace import (
-    OperatorSubspace, adjoint, hs_inner, hs_norm, is_projection,
+    DEFAULT_TOL, OperatorSubspace, adjoint, hs_inner, hs_norm, is_projection,
     orthonormalize, permute_systems, projection_meet)
 
 
 def randc(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def projection(s, x):
+    """Orthogonal projection of x onto span(s), from its orthonormal basis."""
+    return sum(hs_inner(x, e) * e for e in s.basis)
 
 
 def test_hs_inner_is_trace_of_b_star_a():
@@ -40,7 +45,7 @@ def test_orthonormalize_detects_rank():
     assert s.dim == 2
     assert s.ambient_dim == 3
     for m in (m1, m2):
-        assert s.residual(m) < 1e-12
+        assert s.max_residual([m]) < 1e-12
     gram = np.einsum("aij,bij->ab", s.basis.conj(), s.basis)
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
@@ -66,12 +71,12 @@ def test_project_is_idempotent_and_members_have_zero_residual():
     rng = np.random.default_rng(12)
     s = orthonormalize([randc(rng, 4, 4) for _ in range(5)])
     x = randc(rng, 4, 4)
-    p = s.project(x)
-    assert np.allclose(s.project(p), p, atol=1e-12)
+    p = projection(s, x)
+    # p already lies in the span, so projecting it again leaves it fixed
+    assert s.max_residual([p]) < 1e-12
     assert hs_norm(p) <= hs_norm(x) + 1e-12
     combo = 2.0 * s.basis[0] - 1j * s.basis[3]
-    assert s.contains(combo)
-    assert s.residual(combo) < 1e-12
+    assert s.max_residual([combo]) < 1e-12
 
 
 def test_max_residual_matches_per_matrix_residuals():
@@ -79,7 +84,9 @@ def test_max_residual_matches_per_matrix_residuals():
     s = orthonormalize([randc(rng, 3, 3) for _ in range(2)])
     xs = [randc(rng, 3, 3) for _ in range(4)]
     batched = s.max_residual(np.stack(xs))
-    assert abs(batched - max(s.residual(x) for x in xs)) < 1e-12
+    # each residual: HS distance to the span relative to max(1, |x|)
+    single = [hs_norm(x - projection(s, x)) / max(1.0, hs_norm(x)) for x in xs]
+    assert abs(batched - max(single)) < 1e-12
 
 
 def test_perp_complements_and_involutes():
@@ -108,7 +115,7 @@ def test_sum_and_tensor_dimensions():
     t = a.tensor(b)
     assert t.ambient_dim == 6
     assert t.dim == a.dim * b.dim
-    assert t.contains(np.kron(a.basis[1], b.basis[2]))
+    assert t.max_residual([np.kron(a.basis[1], b.basis[2])]) <= DEFAULT_TOL
 
 
 def test_tensor_basis_is_kronecker_ordered():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quantumgraphs as qg
-from quantumgraphs.opspace import orthonormalize
+from quantumgraphs.opspace import DEFAULT_TOL, orthonormalize
 from quantumgraphs.qgraph import BlockAlgebra
 
 
@@ -23,14 +23,15 @@ def test_full_and_diagonal():
     assert BlockAlgebra.full(3).dim == 9
     d = BlockAlgebra.diagonal(3)
     assert d.dim == 3
-    assert span_of(d).contains(np.diag([1.0, 2.0, 3.0]).astype(complex))
-    assert not span_of(d).contains(np.ones((3, 3), dtype=complex))
+    diag = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert span_of(d).max_residual([diag]) <= DEFAULT_TOL
+    assert span_of(d).max_residual([np.ones((3, 3), dtype=complex)]) > DEFAULT_TOL
 
 
 def test_commutant_of_full_is_scalars_and_of_diagonal_is_diagonal():
     cf = BlockAlgebra.full(3).commutant()
     assert cf.dim == 1
-    assert span_of(cf).contains(np.eye(3, dtype=complex))
+    assert span_of(cf).max_residual([np.eye(3, dtype=complex)]) <= DEFAULT_TOL
     cd = BlockAlgebra.diagonal(3).commutant()
     assert span_of(cd).equals_span(span_of(BlockAlgebra.diagonal(3)))
 
@@ -64,7 +65,7 @@ def test_algebra_tensor_spans_kron_products():
     ts = span_of(t)
     for a in m1.basis():
         for b in m2.basis():
-            assert ts.contains(np.kron(a, b))
+            assert ts.max_residual([np.kron(a, b)]) <= DEFAULT_TOL
 
 
 def test_tensor_commutant_consistency(haar):
@@ -81,7 +82,7 @@ def test_conjugated_by(haar):
     u = haar(4, seed=3)
     moved = m.conjugated_by(u)
     for a in m.basis():
-        assert span_of(moved).contains(u.conj().T @ a @ u)
+        assert span_of(moved).max_residual([u.conj().T @ a @ u]) <= DEFAULT_TOL
 
 
 def test_block_algebra_validation(haar):
@@ -101,8 +102,8 @@ def test_from_classical_c5():
     e01[0, 1] = 1.0
     e02 = np.zeros((5, 5), complex)
     e02[0, 2] = 1.0
-    assert g.S.contains(e01)
-    assert not g.S.contains(e02)
+    assert g.S.max_residual([e01]) <= DEFAULT_TOL
+    assert g.S.max_residual([e02]) > DEFAULT_TOL
     rep = qg.verify_quantum_graph(g)
     assert rep.passed, "\n%s" % rep
     assert rep.max_residual < 1e-12
