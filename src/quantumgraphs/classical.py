@@ -687,8 +687,14 @@ def graph_homomorphism(g: ClassicalGraph, h: ClassicalGraph):
 def kneser_hom_check(g: ClassicalGraph, c: int, b: int) -> bool:
     """Whether a homomorphism g -> kneser(c, b) exists.
 
-    Equivalent to chi_b(g) <= c; serves as an independent route to b-fold
-    chromatic numbers.
+    Equivalent to chi_b(g) <= c, and an independent route to b-fold
+    chromatic numbers on tiny graphs only. A homomorphism is often found in
+    milliseconds, but a refutation (c < chi_b) searches the whole space:
+    on G(18, 0.5) at fold 2 (seed 1, c = 9) it did not finish in 60 s, and
+    on G(12, 0.4) at fold 3 (seed 1, c = 11) it took 17 s. Even c = chi_b
+    can stall: G(12, 0.4) at fold 3 with seed 3 and c = 10 did not answer
+    in 60 s. Beyond tiny graphs it gives no lower bound; ``bfold_exact``
+    does.
     """
     if g.vertex_count > _CHROMATIC_VERTEX_LIMIT:
         raise SizeGuardError("kneser_hom_check supports at most %d vertices, got %d"

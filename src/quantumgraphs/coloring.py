@@ -169,6 +169,25 @@ def _subset_products(p: np.ndarray, k: int):
     return subsets, q
 
 
+def _live_subsets(q: np.ndarray, edge_ops: np.ndarray) -> np.ndarray:
+    """Indices of the subset products with a nonzero entry, or of all of them
+    when q or edge_ops holds a non-finite entry: 0 * NaN is NaN, and that NaN
+    must show in the pairwise check it reaches."""
+    if np.isfinite(q).all() and np.isfinite(edge_ops).all():
+        return np.flatnonzero(q.reshape(len(q), -1).any(axis=1))
+    return np.arange(len(q))
+
+
+def _pvm_pair_residuals(q: np.ndarray, member: np.ndarray,
+                        edge_ops: np.ndarray) -> tuple:
+    """max ||Q_S Q_T|| over S < T, and max ||Q_S (X (x) I) Q_T|| over
+    overlapping S != T (member[S] marks the colors of S); 0.0 for no pair."""
+    overlap = (member @ member.T) & ~np.eye(len(q), dtype=bool)
+    ortho = [_worst(q[s] @ q[s + 1:]) for s in range(len(q))]
+    qcol = [_worst(q[s] @ edge_ops @ q[overlap[s]][:, None]) for s in range(len(q))]
+    return np.max(ortho, initial=0.0), np.max(qcol, initial=0.0)
+
+
 def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
                     tol: float = DEFAULT_TOL) -> VerificationReport:
     """Verify a fold-1 coloring certificate against a quantum graph."""
@@ -197,8 +216,13 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     partition of identity over b-subset products, the induced subset PVM
     (projections, orthogonality, and the Q_S (X (x) I) Q_T = 0 condition for
     overlapping subsets; omitted when there are fewer colors than the fold),
-    and vanishing of (b+1)-fold products. The pairwise PVM checks take one
-    subset at a time against all partners: memory O(m * dim S * d^2).
+    and vanishing of (b+1)-fold products. The pairwise PVM checks run over
+    the k subsets whose product Q_S has a nonzero entry, one against all
+    later or overlapping partners: time O(k^2 * dim S * d^3) and memory
+    O(k * dim S * d^2). A passing certificate has k <= d, and a local one
+    has as many as there are distinct vertex color sets; a skipped pair is
+    exactly zero. A non-finite entry in the products or the edge basis
+    keeps all C(c, b) subsets, so its NaN reaches every pair it touches.
     """
     _check_cert_graph(graph, cert)
     b, c = cert.fold, cert.colors
@@ -217,15 +241,13 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     edge_ops = _edge_with_ancilla(graph, cert.ancilla_dim)
     rep.add("coloring_condition", _sandwich_residual(p, edge_ops), tol)
 
-    m = len(subsets)
-    if m:
+    if len(subsets):
         rep.add("pvm_projections", _projection_residual(q), tol)
-        member = (subsets[:, :, None] == np.arange(c)).any(axis=1)
-        overlap = (member @ member.T) & ~np.eye(m, dtype=bool)
-        ortho = [_worst(q[s] @ q[s + 1:]) for s in range(m)]
-        qcol = [_worst(q[s] @ edge_ops @ q[overlap[s]][:, None]) for s in range(m)]
-        rep.add("pvm_orthogonality", np.max(ortho), tol)
-        rep.add("pvm_coloring_condition", np.max(qcol), tol)
+        live = _live_subsets(q, edge_ops)
+        member = (subsets[live, :, None] == np.arange(c)).any(axis=1)
+        ortho, qcol = _pvm_pair_residuals(q[live], member, edge_ops)
+        rep.add("pvm_orthogonality", ortho, tol)
+        rep.add("pvm_coloring_condition", qcol, tol)
 
     _, long_products = _subset_products(p, b + 1)
     rep.add("long_products_vanish", _worst(long_products), tol)

@@ -100,12 +100,17 @@ class OperatorSubspace:
         """Largest relative residual over a stack of matrices.
 
         The workhorse behind the verifiers: batched projection of the whole
-        stack at once.
+        stack at once. Any leading axes are allowed; the last two must be
+        (ambient, ambient). An empty stack gives 0.0.
         """
         arr = np.asarray(stack, dtype=np.complex128)
         if arr.size == 0:
             return 0.0
-        m = arr.reshape(-1, self.ambient_dim * self.ambient_dim)
+        n = self.ambient_dim
+        if arr.shape[-2:] != (n, n):
+            raise ValueError("stack of shape %r does not end in (%d, %d)"
+                             % (arr.shape, n, n))
+        m = arr.reshape(-1, n * n)
         if self.dim:
             coeff = m @ self._flat.conj().T
             res = m - coeff @ self._flat

@@ -89,6 +89,19 @@ def test_max_residual_matches_per_matrix_residuals():
     assert abs(batched - max(single)) < 1e-12
 
 
+def test_max_residual_checks_the_matrix_shape():
+    full = OperatorSubspace.full(2)
+    # a 4x4 matrix reshapes into four 2x2 rows, but is not a stack of them
+    for bad in ([np.eye(4)], np.eye(2).reshape(1, 1, 4), np.ones(4)):
+        with pytest.raises(ValueError, match="does not end in"):
+            full.max_residual(bad)
+    # any leading axes are fine, as verify_homomorphism passes them
+    assert full.max_residual(np.ones((3, 2, 2, 2))) == 0.0
+    assert OperatorSubspace.zero(2).max_residual(np.eye(2)) == 1.0
+    assert full.max_residual([]) == 0.0
+    assert full.max_residual(np.zeros((0, 2, 2))) == 0.0
+
+
 def test_perp_complements_and_involutes():
     rng = np.random.default_rng(14)
     s = orthonormalize([randc(rng, 3, 3) for _ in range(4)])

@@ -9,12 +9,13 @@ to rounding, NaN for NaN.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 import quantumgraphs as qg
-from quantumgraphs import serialize as ser
+from quantumgraphs import coloring, serialize as ser
 from quantumgraphs.cli import EXIT_VERIFY, main
 from quantumgraphs.coloring import ColoringCertificate, verify_bfold, verify_coloring
 from quantumgraphs.opspace import DEFAULT_TOL, hs_norm
@@ -204,6 +205,92 @@ def test_bell_coloring_with_a_nan_entry_matches_the_oracle(bell2):
     assert not rep.passed and np.isnan(rep.max_residual)
     check_both(graph, cert)
     check_both(graph, ColoringCertificate(2, 2, 2, tuple(projs)))
+
+
+def _nan_entry(cert):
+    """NaN in one projection: every subset holding that color turns NaN."""
+    projs = [p.copy() for p in cert.projections]
+    projs[1][2, 2] = np.nan
+    return projs
+
+
+def _overflowing_product(cert):
+    """The two colors of vertex 0 scaled by 1e200: their subset product
+    overflows to Inf while every projection stays finite."""
+    projs = [p.copy() for p in cert.projections]
+    for a in np.flatnonzero([p[0, 0] for p in projs]):
+        projs[a] = 1e200 * projs[a]
+    return projs
+
+
+@pytest.mark.parametrize("name,corrupt", [("C5", _nan_entry), ("K3", _nan_entry),
+                                          ("K3", _overflowing_product)])
+def test_nonfinite_subset_products_meet_their_zero_partners(name, corrupt):
+    # Exactly-zero subset products drop out of the pairwise checks, except
+    # when a non-finite entry is around: 0 * Inf is NaN. In the K3 overflow
+    # case no two live subsets overlap, so only the zero partners carry the
+    # NaN into pvm_coloring_condition.
+    g = {"C5": qg.cycle(5), "K3": qg.complete(3)}[name]
+    graph = qg.from_classical(g)
+    _, witness = qg.bfold_exact(g, 2)
+    cert = qg.to_local_cert(g, witness)
+    bad = ColoringCertificate(cert.graph_dim, 1, 2, tuple(corrupt(cert)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = verify_bfold(graph, bad), oracle_verify_bfold(graph, bad)
+    # an overflowed projection residual reads Inf in one and NaN in the
+    # other, so the reports agree on every verdict, not on every residual
+    assert [(c.name, c.passed) for c in got.checks] == [
+        (c.name, c.passed) for c in want.checks]
+    for rep in (got, want):
+        residual = {c.name: c.residual for c in rep.checks}
+        assert np.isnan(residual["pvm_orthogonality"])
+        assert np.isnan(residual["pvm_coloring_condition"])
+
+
+def _scaled_c5():
+    g = qg.cycle(5)
+    _, witness = qg.bfold_exact(g, 1)
+    graph = qg.from_classical(g)
+    cert, rep = qg.scale_bfold(graph, qg.to_local_cert(g, witness), 3)
+    assert rep.passed and cert.colors == 9
+    return graph, cert
+
+
+def _local_g12():
+    # G(12, 0.4) with seed 3 has chi_3 = 10: 120 subsets, 10 of them live
+    g = qg.random_graph(12, 0.4, 3)
+    _, witness = qg.bfold_exact(g, 3)
+    return qg.from_classical(g), qg.to_local_cert(g, witness)
+
+
+@pytest.mark.parametrize("build", [_scaled_c5, _local_g12])
+def test_fold_three_certificates_with_zero_subsets_match_the_oracle(build):
+    graph, cert = build()
+    rep = verify_bfold(graph, cert)
+    assert rep.passed
+    assert_same_report(rep, oracle_verify_bfold(graph, cert))
+
+
+def test_pairwise_checks_visit_only_the_nonzero_subsets(monkeypatch):
+    seen = []
+    pairs = coloring._pvm_pair_residuals
+
+    def counting(q, member, edge_ops):
+        seen.append(len(q))
+        return pairs(q, member, edge_ops)
+
+    monkeypatch.setattr(coloring, "_pvm_pair_residuals", counting)
+    for fold in (2, 3):
+        g = qg.random_graph(10, 0.4, 1)
+        _, witness = qg.bfold_exact(g, fold)
+        cert = qg.to_local_cert(g, witness)
+        assert verify_bfold(qg.from_classical(g), cert).passed
+        # Q_S of a local certificate is nonzero iff some vertex has color set S
+        assert seen.pop() == len(set(witness.assignment)) < comb(cert.colors, fold)
+    # an entangled certificate has no zero subset: all of them are visited
+    graph = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
+    verify_bfold(graph, qg.bell_coloring(2))
+    assert seen == [4]
 
 
 def test_failing_bell_combination_matches_the_oracle(bell2):
