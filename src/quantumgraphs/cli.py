@@ -57,7 +57,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_color_verify(args) -> int:
     g = serialize.load_any_graph(args.graph)
-    cert = serialize.certificate_from_obj(serialize.load_json(args.certificate))
+    cert = serialize.load_certificate(args.certificate)
     print("certificate: %d colors, fold %d, ancilla dim %d, type %s"
           % (cert.colors, cert.fold, cert.ancilla_dim, cert.strategy_type))
     if args.bfold:
@@ -75,23 +75,23 @@ def _write_cert(path, cert) -> None:
 def _cmd_transform(args) -> int:
     g = serialize.load_any_graph(args.graph) if getattr(args, "graph", None) else None
     if args.transform == "reduce":
-        cert = serialize.certificate_from_obj(serialize.load_json(args.certificate))
+        cert = serialize.load_certificate(args.certificate)
         out, mapping = coloring.reduce_bfold(g, cert, args.tol)
         print("reduced to fold %d with %d colors; kept original colors %s"
               % (out.fold, out.colors, mapping))
         rep = coloring.verify_bfold(g, out, args.tol)
     elif args.transform == "combine":
-        c1 = serialize.certificate_from_obj(serialize.load_json(args.certificate))
-        c2 = serialize.certificate_from_obj(serialize.load_json(args.second))
+        c1 = serialize.load_certificate(args.certificate)
+        c2 = serialize.load_certificate(args.second)
         out, rep = coloring.combine_bfold(g, c1, c2, args.tol)
         print("combined: fold %d, %d colors" % (out.fold, out.colors))
     elif args.transform == "scale":
-        cert = serialize.certificate_from_obj(serialize.load_json(args.certificate))
+        cert = serialize.load_certificate(args.certificate)
         out, rep = coloring.scale_bfold(g, cert, args.fold, args.tol)
         print("scaled: fold %d, %d colors" % (out.fold, out.colors))
     elif args.transform == "lex":
-        cg = serialize.certificate_from_obj(serialize.load_json(args.certificate))
-        ch = serialize.certificate_from_obj(serialize.load_json(args.second))
+        cg = serialize.load_certificate(args.certificate)
+        ch = serialize.load_certificate(args.second)
         out = coloring.lexicographic_coloring(cg, ch)
         gq = serialize.load_any_graph(args.graph_g)
         hq = serialize.load_any_graph(args.graph_h)
@@ -99,14 +99,14 @@ def _cmd_transform(args) -> int:
         rep = coloring.verify_coloring(products.lexicographic(gq, hq), out,
                                        args.tol)
     elif args.transform == "strong-lift":
-        cg = serialize.certificate_from_obj(serialize.load_json(args.certificate))
-        ch = serialize.certificate_from_obj(serialize.load_json(args.second))
+        cg = serialize.load_certificate(args.certificate)
+        ch = serialize.load_certificate(args.second)
         out = coloring.strong_coloring(cg, ch)
         gq = serialize.load_any_graph(args.graph_g)
         hq = serialize.load_any_graph(args.graph_h)
         rep = coloring.verify_coloring(products.strong(gq, hq), out, args.tol)
     elif args.transform == "cat-lift":
-        cg = serialize.certificate_from_obj(serialize.load_json(args.certificate))
+        cg = serialize.load_certificate(args.certificate)
         gq = serialize.load_any_graph(args.graph_g)
         hq = serialize.load_any_graph(args.graph_h)
         out = coloring.categorical_lift(cg, hq.n)

@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .classical import BFoldAssignment, ClassicalGraph
-from .opspace import (DEFAULT_TOL, OperatorSubspace, as_matrix, hs_norm,
-                      permute_systems, projection_meet)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, adjoint,
+                      as_matrix, hs_norm, permute_systems, projection_meet)
 from .qgraph import BlockAlgebra, QuantumGraph
 from .report import VerificationFailure, VerificationReport
 
@@ -131,19 +131,16 @@ def _edge_with_ancilla(graph: QuantumGraph, ancilla_dim: int) -> np.ndarray:
     return np.kron(graph.S.basis, np.eye(ancilla_dim))
 
 
-def _worst(x) -> float:
+def _worst(x: np.ndarray) -> float:
     """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN.
-    Squares |x| in place, because x can be the largest array of a check."""
-    sq = np.abs(x)
-    sq *= sq
-    return float(np.max(np.sqrt(sq.sum(axis=(-2, -1))), initial=0.0))
+    Squares x in place, because x can be the largest array of a check."""
+    return float(np.max(_hs_norms(x), initial=0.0))
 
 
 def _projection_residual(stack: np.ndarray) -> float:
     """max over the stack of ||P^2 - P|| and ||P - P*||."""
-    idem = stack @ stack - stack
-    herm = stack - np.conj(np.transpose(stack, (0, 2, 1)))
-    return _worst([idem, herm])
+    return float(np.maximum(_worst(stack @ stack - stack),
+                            _worst(stack - adjoint(stack))))
 
 
 def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
@@ -154,7 +151,7 @@ def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
 def _commutators(p: np.ndarray) -> np.ndarray:
     """||P_i P_j - P_j P_i|| for every pair i < j, in np.triu_indices order."""
     i, j = np.triu_indices(len(p), 1)
-    return np.linalg.norm(p[i] @ p[j] - p[j] @ p[i], axis=(1, 2))
+    return _hs_norms(p[i] @ p[j] - p[j] @ p[i])
 
 
 def _subset_products(p: np.ndarray, k: int):
@@ -268,20 +265,23 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
         raise ValueError("certificate dimensions do not match the graphs")
     rep = VerificationReport("homomorphism certificate (%d Kraus, ancilla %d)"
                              % (len(cert.kraus), cert.ancilla_dim))
-    fs = cert.kraus
     d_in = cert.source_dim * cert.ancilla_dim
-    tp = sum(f.conj().T @ f for f in fs) - np.eye(d_in)
+    fs = np.array(cert.kraus, dtype=np.complex128)
+    fs = fs.reshape(-1, cert.target_dim, d_in)
+    fs_adj = adjoint(fs)
+    tp = (fs_adj @ fs).sum(axis=0) - np.eye(d_in)
     rep.add("trace_preserving", hs_norm(tp), tol)
 
+    # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
+    left, right = fs[:, None, None], fs_adj[None, :, None]
     edge_ops = _edge_with_ancilla(source, cert.ancilla_dim)
-    mapped = [fi @ edge_ops @ fj.conj().T for fi in fs for fj in fs]
-    rep.add("edge_space_mapped", target.S.max_residual(mapped), tol)
+    rep.add("edge_space_mapped",
+            target.S.max_residual(left @ edge_ops @ right), tol)
 
     src_comm = source.M.commutant().basis()
     dst_comm = target.M.commutant().basis()
     yi = np.kron(src_comm.basis, np.eye(cert.ancilla_dim))
-    mapped_c = [fi @ yi @ fj.conj().T for fi in fs for fj in fs]
-    rep.add("commutant_mapped", dst_comm.max_residual(mapped_c), tol)
+    rep.add("commutant_mapped", dst_comm.max_residual(left @ yi @ right), tol)
     return rep
 
 
@@ -560,7 +560,7 @@ def complete_lower_bound_extract(graph: QuantumGraph,
         p = w.conj().T @ p @ w
     r = (k / d) * np.trace(p.reshape(-1, n, dn, n, dn), axis1=1, axis2=3)
     rep.add("idempotent", _worst(r @ r - r), tol)
-    rep.add("self_adjoint", _worst(r - np.conj(np.transpose(r, (0, 2, 1)))), tol)
+    rep.add("self_adjoint", _worst(r - adjoint(r)), tol)
     rep.add("sum_rule", hs_norm(r.sum(axis=0) - cert.fold * k * k * np.eye(dn)),
             tol)
     rep.notes.append("a passing extraction forces colors >= fold * dim M = %d"

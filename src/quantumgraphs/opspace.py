@@ -3,6 +3,9 @@
 Matrices are plain numpy complex128 arrays. A subspace of M_n is stored as a
 Hilbert-Schmidt-orthonormal basis stacked into a (dim, n, n) array. All inner
 products use the unnormalized trace: <A, B> = Tr(B* A).
+
+Every HS norm over a stack of matrices, here and in ``qgraph`` and
+``coloring``, is taken by the one helper :func:`_hs_norms`, in place.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ def as_matrix(x) -> np.ndarray:
 
 
 def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
+    """Conjugate transpose of a matrix or of each matrix of a (..., n, m)
+    stack, as a new C-contiguous array."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.conjugate(np.swapaxes(a, -1, -2), order="C")
 
 
 def hs_inner(a, b) -> complex:
@@ -46,6 +52,19 @@ def hs_inner(a, b) -> complex:
 
 def hs_norm(a) -> float:
     return float(np.linalg.norm(a))
+
+
+def _hs_norms(x: np.ndarray) -> np.ndarray:
+    """HS norm of each matrix of a complex (..., a, b) stack. Squares the
+    float view of ``x`` in place: ``x`` must be a temporary of the caller."""
+    v = x.view(np.float64)
+    v *= v
+    return np.sqrt(v.sum(axis=(-2, -1)))
+
+
+def _max_relative(norms: np.ndarray, scales: np.ndarray) -> float:
+    """max ||r|| / max(1, ||x||) over paired norms, 0.0 for none; keeps NaN."""
+    return float(np.max(norms / np.maximum(1.0, scales), initial=0.0))
 
 
 class OperatorSubspace:
@@ -97,11 +116,15 @@ class OperatorSubspace:
         return "OperatorSubspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
     def max_residual(self, stack) -> float:
-        """Largest relative residual over a stack of matrices.
+        """Largest relative residual ||x - Px|| / max(1, ||x||) over a stack
+        of matrices x, P the orthogonal projection onto this subspace.
 
         The workhorse behind the verifiers: batched projection of the whole
         stack at once. Any leading axes are allowed; the last two must be
-        (ambient, ambient). An empty stack gives 0.0.
+        (ambient, ambient). An empty stack gives 0.0, a non-finite entry a
+        non-finite result. ``stack`` is never written to. Memory is the
+        input, the coefficients c and one more array: the conjugated basis,
+        then the residual, formed in place; ||x|| = hypot(||x - Px||, ||c||).
         """
         arr = np.asarray(stack, dtype=np.complex128)
         if arr.size == 0:
@@ -111,14 +134,11 @@ class OperatorSubspace:
             raise ValueError("stack of shape %r does not end in (%d, %d)"
                              % (arr.shape, n, n))
         m = arr.reshape(-1, n * n)
-        if self.dim:
-            coeff = m @ self._flat.conj().T
-            res = m - coeff @ self._flat
-        else:
-            res = m
-        norms = np.linalg.norm(res, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(m, axis=1))
-        return float(np.max(norms / scale))
+        coeff = m @ self._flat.conj().T
+        res = coeff @ self._flat
+        np.subtract(m, res, out=res)
+        norms = _hs_norms(res[:, None])
+        return _max_relative(norms, np.hypot(norms, _hs_norms(coeff[:, None])))
 
     def contains_subspace(self, other: "OperatorSubspace",
                           tol: float = DEFAULT_TOL) -> bool:
@@ -131,10 +151,6 @@ class OperatorSubspace:
         return (self.dim == other.dim
                 and self.contains_subspace(other, tol)
                 and other.contains_subspace(self, tol))
-
-    def is_adjoint_closed(self, tol: float = DEFAULT_TOL) -> bool:
-        adj = np.conj(np.transpose(self.basis, (0, 2, 1)))
-        return self.max_residual(adj) <= tol
 
     def sum_with(self, other: "OperatorSubspace") -> "OperatorSubspace":
         self._check_same_ambient(other)

@@ -109,20 +109,11 @@ def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
     prod_q = product(gq, hq, kind)
     prod_c = from_classical(classical_product(g, h, kind))
 
-    r1 = prod_q.S.max_residual(prod_c.S.basis)
-    r2 = prod_c.S.max_residual(prod_q.S.basis)
-    rep.add("edge_space_match", np.max([r1, r2]), tol)
-
-    alg_q = prod_q.M.basis()
-    alg_c = prod_c.M.basis()
-    r3 = alg_q.max_residual(alg_c.basis)
-    r4 = alg_c.max_residual(alg_q.basis)
-    rep.add("algebra_match", np.max([r3, r4]), tol)
-
-    if prod_c.S.dim != prod_q.S.dim:
-        rep.add("edge_space_dimension", 1.0, tol)
-    else:
-        rep.add("edge_space_dimension", 0.0, tol)
+    for name, a, b in (("edge_space_match", prod_q.S, prod_c.S),
+                       ("algebra_match", prod_q.M.basis(), prod_c.M.basis())):
+        both = [a.max_residual(b.basis), b.max_residual(a.basis)]
+        rep.add(name, np.max(both), tol)
+    rep.add("edge_space_dimension", float(prod_c.S.dim != prod_q.S.dim), tol)
     if kind == "lexicographic":
         rep.notes.append(LEXICOGRAPHIC_NOTE)
     return rep

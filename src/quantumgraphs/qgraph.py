@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .classical import SizeGuardError
-from .opspace import (DEFAULT_TOL, OperatorSubspace, as_matrix, hs_norm,
-                      orthonormalize)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _max_relative,
+                      adjoint, as_matrix, hs_norm, orthonormalize)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -204,13 +204,6 @@ class QuantumGraph:
         return "QuantumGraph(n=%d, dim S=%d, M=%r)" % (self.n, self.S.dim, self.M)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """HS norm of each row of a C-contiguous complex matrix; squares x in place."""
-    v = x.view(np.float64)
-    v *= v
-    return np.sqrt(v.sum(axis=1))
-
-
 def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     """Largest residual ||x - P_S x|| / max(1, ||x||) over x = a s_j and
     x = s_j a, for every basis unit a of the commutant and basis element
@@ -236,9 +229,8 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
                             (t[:, :, copies[p]], comp[:, copies[q]])):
                 x = x.reshape(k, mult * n) / np.sqrt(mult)
                 res = x @ rows.reshape(mult * n, n * n)
-                worst.append(np.max(_row_norms(res)
-                                    / np.maximum(1.0, _row_norms(x)),
-                                    initial=0.0))
+                worst.append(_max_relative(_hs_norms(res[:, None]),
+                                           _hs_norms(x[:, None])))
     return float(np.max(worst))
 
 
@@ -265,15 +257,10 @@ def verify_quantum_graph(graph: QuantumGraph,
     commutant = graph.M.commutant()
     mp = commutant.basis()
 
-    adj = np.conj(np.transpose(s.basis, (0, 2, 1)))
-    rep.add("adjoint_closed", s.max_residual(adj), tol)
+    rep.add("adjoint_closed", s.max_residual(adjoint(s.basis)), tol)
     rep.add("bimodule", _bimodule_residual(s, commutant), tol)
-
-    if s.dim and mp.dim:
-        gram = s._flat @ mp._flat.conj().T
-        rep.add("orthogonal_to_commutant", float(np.max(np.abs(gram))), tol)
-    else:
-        rep.add("orthogonal_to_commutant", 0.0, tol)
+    gram = s._flat @ mp._flat.conj().T
+    rep.add("orthogonal_to_commutant", np.max(np.abs(gram), initial=0.0), tol)
     return rep
 
 

@@ -204,6 +204,11 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def load_certificate(path: str) -> ColoringCertificate:
+    """Load a coloring certificate from its JSON file."""
+    return certificate_from_obj(load_json(path))
+
+
 def load_classical_graph(path: str) -> ClassicalGraph:
     """Load a classical graph from DIMACS or edge-list JSON, sniffing by
     content."""
@@ -232,6 +237,6 @@ __all__ = [
     "SCHEMA_VERSION", "matrix_to_obj", "matrix_from_obj", "algebra_to_obj",
     "algebra_from_obj", "quantum_graph_to_obj", "quantum_graph_from_obj",
     "certificate_to_obj", "certificate_from_obj", "homomorphism_to_obj",
-    "homomorphism_from_obj", "dumps", "save", "load_json",
+    "homomorphism_from_obj", "dumps", "save", "load_json", "load_certificate",
     "load_classical_graph", "load_any_graph", "graph_to_obj", "graph_from_obj",
 ]

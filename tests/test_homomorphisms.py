@@ -71,6 +71,11 @@ def test_verify_homomorphism_catches_broken_normalization():
     rep = verify_homomorphism(g, qg.cartesian(g, h), leaky)
     assert not rep.passed
     assert any("trace" in c.name for c in rep.failures())
+    # no Kraus operators: the mapped stacks are empty, sum F*F = 0 != I
+    empty = HomomorphismCertificate(good.source_dim, good.target_dim,
+                                    good.ancilla_dim, ())
+    rep = verify_homomorphism(g, qg.cartesian(g, h), empty)
+    assert [c.name for c in rep.failures()] == ["trace_preserving"]
 
 
 def test_homomorphism_certificate_shape_validation():

@@ -35,7 +35,14 @@ def test_hs_inner_conjugate_symmetry():
 def test_adjoint():
     rng = np.random.default_rng(9)
     a = randc(rng, 3, 3)
-    assert np.allclose(adjoint(a), a.conj().T)
+    assert np.array_equal(adjoint(a), a.conj().T)
+    # a (..., n, m) stack is adjointed matrix by matrix, into a C-ordered array
+    stack = randc(rng, 2, 4, 3, 2)
+    adj = adjoint(stack)
+    assert adj.shape == (2, 4, 2, 3) and adj.flags.c_contiguous
+    assert np.array_equal(adj[1, 2], stack[1, 2].conj().T)
+    with pytest.raises(ValueError):  # a vector is neither
+        adjoint(np.ones(3))
 
 
 def test_orthonormalize_detects_rank():
@@ -157,13 +164,6 @@ def test_contains_subspace_and_equals_span():
     assert not sub.contains_subspace(s)
     rotated = orthonormalize([mats[0] + mats[1], mats[0] - mats[1], 1j * mats[2]])
     assert s.equals_span(rotated)
-
-
-def test_is_adjoint_closed():
-    e01 = np.zeros((2, 2), complex)
-    e01[0, 1] = 1.0
-    assert not orthonormalize([e01]).is_adjoint_closed()
-    assert orthonormalize([e01, e01.conj().T]).is_adjoint_closed()
 
 
 def test_permute_systems_swap_matches_kron_reversal():

@@ -7,10 +7,11 @@ import pytest
 
 import quantumgraphs as qg
 from quantumgraphs import products
-from quantumgraphs.opspace import orthonormalize, permute_systems
+from quantumgraphs.opspace import adjoint, orthonormalize, permute_systems
 from quantumgraphs.products import (
     LEXICOGRAPHIC_NOTE, classical_crosscheck, product)
-from quantumgraphs.qgraph import DENSE_BYTES_LIMIT, check_dense_size
+from quantumgraphs.qgraph import (
+    DENSE_BYTES_LIMIT, _bimodule_residual, check_dense_size)
 
 
 def embedded(g):
@@ -169,17 +170,47 @@ def test_product_of_two_k36_trips_the_guard_before_allocating(kind):
     assert peak < 2 ** 20  # the smallest part alone would be about 2 TB
 
 
-def test_ambient_36_lexicographic_product_verifies():
+@pytest.fixture(scope="module")
+def r6_lex():
+    """R6[R6]: ambient dimension 36, dim S 756."""
+    r6 = qg.random_graph(6, 0.5, 7)
+    return r6, product(embedded(r6), embedded(r6), "lexicographic")
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn() runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ambient_36_lexicographic_product_verifies(r6_lex):
     """R6[R6] at ambient dimension 36, which the dense bimodule stack
     (about 1.2 GB) kept out of reach."""
-    r6 = qg.random_graph(6, 0.5, 7)
-    p = product(embedded(r6), embedded(r6), "lexicographic")
+    r6, p = r6_lex
     assert p.n == 36
     assert p.S.dim == 2 * r6.edge_count * 36 + 6 * 2 * r6.edge_count
     rep = qg.verify_quantum_graph(p)
     assert rep.passed, "\n%s" % rep
     assert [c.name for c in rep.checks] == [
         "adjoint_closed", "bimodule", "orthogonal_to_commutant"]
+
+
+def test_ambient_36_verify_peak_memory(r6_lex):
+    """The whole verify peaked at 71.6 MiB under tracemalloc while the
+    adjoint check held four stack-sized arrays (68.5 MiB); with the
+    residual formed in place it is about 57 MiB, set by the bimodule
+    check (56 MiB), and the adjoint check alone takes about 39 MiB."""
+    _, p = r6_lex
+    commutant = p.M.commutant()
+    verify_peak = traced_peak(lambda: qg.verify_quantum_graph(p))
+    adjoint_peak = traced_peak(lambda: p.S.max_residual(adjoint(p.S.basis)))
+    bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant))
+    assert verify_peak < 60 * 2 ** 20, verify_peak
+    assert adjoint_peak <= bimodule_peak, (adjoint_peak, bimodule_peak)
 
 
 def test_verify_peak_memory_stays_far_below_the_product_stack():

@@ -176,12 +176,14 @@ def test_verify_rejects_non_bimodule():
     assert any("bimodule" in c.name for c in rep.failures())
 
 
-def test_verify_rejects_non_adjoint_closed():
+def test_verify_checks_adjoint_closure():
+    # span{E01} fails adjoint closure alone; span{E01, E10} passes every axiom
     a = np.zeros((2, 2), complex)
     a[0, 1] = 1.0
-    rep = qg.verify_quantum_graph(
-        qg.QuantumGraph(orthonormalize([a]), BlockAlgebra.diagonal(2)))
-    assert not rep.passed
+    for family, closed in (([a], False), ([a, a.conj().T], True)):
+        rep = qg.verify_quantum_graph(
+            qg.QuantumGraph(orthonormalize(family), BlockAlgebra.diagonal(2)))
+        assert [c.name for c in rep.failures()] == ([] if closed else ["adjoint_closed"])
 
 
 def test_conjugate_graph_preserves_axioms(haar):

@@ -1,0 +1,89 @@
+"""Properties of OperatorSubspace.max_residual over generated stacks.
+
+The batched residual must match a per-matrix reference computed with
+np.linalg.norm, for stacks with any leading axes, empty stacks, the zero
+subspace and non-finite entries, and must never write to its argument.
+Hypothesis runs derandomized with a fixed example count and no example
+database, so every run checks the same stacks.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from quantumgraphs.opspace import OperatorSubspace, orthonormalize
+from test_opspace import randc
+
+FIXED = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+
+
+def reference(space, stack):
+    """max ||x - sum_e <x, e> e|| / max(1, ||x||) over the matrices x of the
+    stack, one matrix at a time; 0.0 for an empty stack."""
+    n = space.ambient_dim
+    worst = 0.0
+    for x in np.asarray(stack).reshape(-1, n, n):
+        proj = sum((np.vdot(e, x) * e for e in space.basis), np.zeros((n, n)))
+        r = np.linalg.norm(x - proj) / max(1.0, np.linalg.norm(x))
+        worst = r if np.isnan(r) else max(worst, r)
+    return worst
+
+
+@st.composite
+def cases(draw):
+    """(space, stack): a subspace of M_n spanned by k random matrices (k = 0
+    is the zero subspace) and a stack with 0 to 2 leading axes of length 0
+    to 3, scaled so that both branches of max(1, ||x||) occur and partly
+    drawn from the subspace so that residuals near 0 occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n * n))
+    space = orthonormalize(list(randc(rng, k, n, n)), ambient_dim=n)
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    stack = randc(rng, *lead, n, n) * draw(st.sampled_from([1e-3, 0.3, 1.0, 40.0]))
+    if space.dim and stack.size and draw(st.booleans()):
+        flat = stack.reshape(-1, n, n)
+        inside = randc(rng, len(flat), space.dim) @ space.basis.reshape(space.dim, -1)
+        flat[::2] = inside.reshape(-1, n, n)[::2]
+    return space, stack
+
+
+@FIXED
+@given(cases())
+def test_max_residual_matches_the_per_matrix_reference(case):
+    space, stack = case
+    got = space.max_residual(stack)
+    assert abs(got - reference(space, stack)) <= 1e-12
+    if stack.size == 0:
+        assert got == 0.0
+
+
+@FIXED
+@given(cases(), st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf]),
+       st.integers(0, 10 ** 6))
+def test_a_non_finite_entry_gives_a_non_finite_residual(case, bad, where):
+    space, stack = case
+    if stack.size == 0:
+        return
+    stack.reshape(-1)[where % stack.size] = bad
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(space.max_residual(stack))
+        assert not np.isfinite(reference(space, stack))
+
+
+def test_max_residual_never_writes_to_its_argument():
+    rng = np.random.default_rng(3)
+    space = orthonormalize(list(randc(rng, 4, 3, 3)))
+    other = orthonormalize(list(randc(rng, 2, 3, 3)))
+    writable = randc(rng, 2, 5, 3, 3)
+    strided = writable.transpose(1, 0, 3, 2)  # not C-contiguous
+    for stack in (writable, strided, writable[0, 1]):
+        before = stack.copy()
+        space.max_residual(stack)
+        OperatorSubspace.zero(3).max_residual(stack)
+        assert np.array_equal(stack, before, equal_nan=True)
+    # a subspace's basis is read-only and passed straight in by the verifiers
+    for s, t in ((space, other), (other, space), (space, space)):
+        before = t.basis.copy()
+        s.max_residual(t.basis)
+        assert not t.basis.flags.writeable
+        assert np.array_equal(t.basis, before)
