@@ -16,7 +16,7 @@ from . import classical, coloring, products, serialize
 from .classical import SizeGuardError, bounds_report
 from .opspace import DEFAULT_TOL
 from .qgraph import verify_quantum_graph
-from .report import VerificationReport
+from .report import VerificationFailure, VerificationReport
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -319,6 +319,11 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print("size guard: %s" % exc, file=sys.stderr)
         return EXIT_SIZE
+    except VerificationFailure as exc:
+        if exc.report is not None:
+            print(exc.report)
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,8 @@ import numpy as np
 
 from .classical import BFoldAssignment, ClassicalGraph
 from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, adjoint,
-                      as_matrix, hs_norm, permute_systems, projection_meet)
+                      as_matrix, check_unitary, hs_norm, permute_systems,
+                      projection_meet)
 from .qgraph import BlockAlgebra, QuantumGraph
 from .report import VerificationFailure, VerificationReport
 
@@ -73,14 +74,12 @@ class ColoringCertificate:
         return cert, keep
 
     def conjugated(self, u) -> "ColoringCertificate":
-        """Certificate for the graph relabeled by the unitary u."""
-        u = as_matrix(u)
-        if u.shape != (self.graph_dim, self.graph_dim):
-            raise ValueError("unitary does not match the graph leg")
+        """Certificate for the graph relabeled by the unitary u: every P_a
+        becomes w* P_a w with w = u (x) I, in one stacked product."""
+        u = check_unitary(u, self.graph_dim, "relabeling unitary")
         w = np.kron(u, np.eye(self.ancilla_dim))
-        return ColoringCertificate(
-            self.graph_dim, self.ancilla_dim, self.fold,
-            tuple(w.conj().T @ p @ w for p in self.projections))
+        return ColoringCertificate(self.graph_dim, self.ancilla_dim, self.fold,
+                                   w.conj().T @ _stack(self) @ w)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Every HS norm over a stack of matrices, here and in ``qgraph`` and
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +52,17 @@ def hs_inner(a, b) -> complex:
 
 def hs_norm(a) -> float:
     return float(np.linalg.norm(a))
+
+
+def check_unitary(u, n: int, what: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``u`` as an n x n complex matrix; ValueError unless ||u* u - I|| <= tol
+    (HS norm). ``what`` names the matrix in the message."""
+    u = as_matrix(u)
+    if u.shape != (n, n):
+        raise ValueError("%s shape %r does not match dimension %d" % (what, u.shape, n))
+    if hs_norm(u.conj().T @ u - np.eye(n)) > tol:
+        raise ValueError("%s is not unitary" % what)
+    return u
 
 
 def _hs_norms(x: np.ndarray) -> np.ndarray:
@@ -102,15 +113,6 @@ class OperatorSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __getitem__(self, i):
-        return self.basis[i]
 
     def __repr__(self):
         return "OperatorSubspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
@@ -182,33 +184,35 @@ class OperatorSubspace:
                              % (self.ambient_dim, other.ambient_dim))
 
 
-def orthonormalize(mats: Iterable,
-                   ambient_dim: int | None = None) -> OperatorSubspace:
+def orthonormalize(mats, ambient_dim: int | None = None) -> OperatorSubspace:
     """HS-orthonormal basis of the span of a family of matrices.
 
-    Rank comes from the singular-value cutoff RANK_CUTOFF relative to the
-    largest singular value of the stacked, vectorized family (no sequential
-    Gram-Schmidt). A family that is already orthonormal is returned
-    unchanged, which makes the operation idempotent. The empty family gives
-    the zero subspace and then requires ``ambient_dim``.
+    The family is a (k, n, n) stack or a sequence of n x n matrices, read
+    as one array. Rank comes from the singular-value cutoff RANK_CUTOFF
+    relative to the largest singular value of the vectorized family (no
+    sequential Gram-Schmidt). A family that is already orthonormal is
+    returned unchanged, which makes the operation idempotent. The empty
+    family gives the zero subspace and then requires ``ambient_dim``.
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
+    try:
+        arr = np.asarray(mats, dtype=np.complex128)
+    except ValueError:
+        raise ValueError("mixed matrix shapes in spanning family") from None
+    if arr.shape[:1] == (0,):
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for an empty family")
         return OperatorSubspace.zero(ambient_dim)
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError("mixed matrix shapes in spanning family")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError("mixed matrix shapes in spanning family")
+    k, n, _ = arr.shape
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient_dim %d does not match matrices of size %d"
                          % (ambient_dim, n))
-    flat = np.stack([m.reshape(-1) for m in mats])
-    if len(mats) <= n * n:
+    flat = arr.reshape(k, n * n)
+    if k <= n * n:
         gram = flat @ flat.conj().T
-        if np.max(np.abs(gram - np.eye(len(mats)))) <= 1e-12:
-            return OperatorSubspace(n, np.stack(mats))
+        if np.max(np.abs(gram - np.eye(k))) <= 1e-12:
+            return OperatorSubspace(n, arr)
     _, sing, vh = np.linalg.svd(flat, full_matrices=False)
     rank = 0
     if sing.size and sing[0] > 0:

@@ -68,9 +68,8 @@ def product(g: QuantumGraph, h: QuantumGraph, kind: str) -> QuantumGraph:
                      % (kind, count, n))
     left = {a: _factor(g, a) for a, _ in pairs}
     right = {b: _factor(h, b) for _, b in pairs}
-    parts = [left[a].tensor(right[b]) for a, b in pairs]
-    stacked = [b for part in parts for b in part.basis]
-    s = orthonormalize(stacked, ambient_dim=n)
+    parts = [left[a].tensor(right[b]).basis for a, b in pairs]
+    s = orthonormalize(np.concatenate(parts), ambient_dim=n)
     return QuantumGraph(s, g.M.tensor(h.M))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical import SizeGuardError
 from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _max_relative,
-                      adjoint, as_matrix, hs_norm, orthonormalize)
+                      adjoint, as_matrix, check_unitary)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -35,15 +35,6 @@ def check_dense_size(nbytes: int, what: str) -> None:
                              % (what, nbytes / 2 ** 30, DENSE_BYTES_LIMIT / 2 ** 30))
 
 
-def _swap_matrix(a: int, b: int) -> np.ndarray:
-    """Unitary taking C^a (x) C^b onto C^b (x) C^a by e_i (x) e_j -> e_j (x) e_i."""
-    s = np.zeros((a * b, a * b), dtype=np.complex128)
-    for i in range(a):
-        for j in range(b):
-            s[j * a + i, i * b + j] = 1.0
-    return s
-
-
 class BlockAlgebra:
     """A von Neumann subalgebra of M_n in standard form.
 
@@ -61,24 +52,13 @@ class BlockAlgebra:
             raise ValueError("block multiplicities and sizes must be positive")
         self.blocks = blocks
         self.ambient_dim = sum(n * k for n, k in blocks)
-        offs = []
-        o = 0
-        for n, k in blocks:
-            offs.append(o)
-            o += n * k
-        self._offsets = tuple(offs)
+        self._offsets = tuple(itertools.accumulate(
+            (n * k for n, k in blocks[:-1]), initial=0))
         if conjugator is not None:
-            u = as_matrix(conjugator)
             d = self.ambient_dim
-            if u.shape != (d, d):
-                raise ValueError("conjugator shape %r does not match dimension %d"
-                                 % (u.shape, d))
-            if hs_norm(u.conj().T @ u - np.eye(d)) > DEFAULT_TOL:
-                raise ValueError("conjugator is not unitary")
-            if np.array_equal(u, np.eye(d)):
+            conjugator = check_unitary(conjugator, d, "conjugator")
+            if np.array_equal(conjugator, np.eye(d)):
                 conjugator = None
-            else:
-                conjugator = u
         self.conjugator = conjugator
 
     @classmethod
@@ -99,77 +79,78 @@ class BlockAlgebra:
         tag = "" if self.conjugator is None else ", conjugated"
         return "BlockAlgebra(blocks=%r%s)" % (list(self.blocks), tag)
 
-    def _apply_conjugator(self, m: np.ndarray) -> np.ndarray:
+    def _frame(self) -> np.ndarray:
+        """The conjugator, or the identity when there is none."""
         if self.conjugator is None:
-            return m
-        return self.conjugator @ m @ self.conjugator.conj().T
+            return np.eye(self.ambient_dim, dtype=np.complex128)
+        return self.conjugator
 
     def basis(self) -> OperatorSubspace:
         """HS-orthonormal basis: per-block matrix units spread over the
-        multiplicity copies, scaled by 1/sqrt(n_r)."""
+        multiplicity copies, scaled by 1/sqrt(n_r).
+
+        Unit (p, q) of block r is number t_r + p k_r + q, t_r the units of
+        the earlier blocks, with the entry 1/sqrt(n_r) at (o_r + i k_r + p,
+        o_r + i k_r + q) for each copy i. All entries go into one zero
+        (dim, n, n) stack by one fancy-index assignment; a conjugator U
+        then acts on the whole stack as U units U*.
+        """
         n = self.ambient_dim
-        mats = []
-        for (nr, kr), off in zip(self.blocks, self._offsets):
-            scale = 1.0 / np.sqrt(nr)
-            for p in range(kr):
-                for q in range(kr):
-                    b = np.zeros((n, n), dtype=np.complex128)
-                    for i in range(nr):
-                        b[off + i * kr + p, off + i * kr + q] = scale
-                    mats.append(self._apply_conjugator(b))
-        return OperatorSubspace(n, np.stack(mats))
+        firsts = itertools.accumulate((k * k for _, k in self.blocks), initial=0)
+        unit, row, col, mult = zip(*[
+            (t + p * k + q, o + i * k + p, o + i * k + q, m)
+            for (m, k), o, t in zip(self.blocks, self._offsets, firsts)
+            for p in range(k) for q in range(k) for i in range(m)])
+        units = np.zeros((self.dim, n, n), dtype=np.complex128)
+        units[unit, row, col] = 1.0 / np.sqrt(mult)
+        u = self.conjugator
+        if u is not None:
+            units = u @ units @ u.conj().T
+        return OperatorSubspace(n, units)
 
     def commutant(self) -> "BlockAlgebra":
         """The commutant, again in standard form.
 
-        Each block (n_r, k_r) flips to (k_r, n_r); a per-block leg swap is
-        folded into the conjugator so the output's own standard form spans
-        the actual commutant. The double commutant returns blocks and
-        conjugator exactly.
+        Each block (n_r, k_r) flips to (k_r, n_r). Index o_r + j k_r + i
+        (copy j, index i) of the old standard form is index o_r + i n_r + j
+        (copy i, index j) of the new one, so the new conjugator is the old
+        one, or I, with its columns reordered within each block. The double
+        commutant restores the order and returns blocks and conjugator
+        exactly.
         """
-        n = self.ambient_dim
-        w = np.zeros((n, n), dtype=np.complex128)
-        for (nr, kr), off in zip(self.blocks, self._offsets):
-            w[off:off + nr * kr, off:off + nr * kr] = _swap_matrix(kr, nr)
-        u = w if self.conjugator is None else self.conjugator @ w
-        return BlockAlgebra(tuple((k, n_) for n_, k in self.blocks), u)
+        order = [o + j * k + i
+                 for (m, k), o in zip(self.blocks, self._offsets)
+                 for i in range(k) for j in range(m)]
+        return BlockAlgebra(tuple((k, m) for m, k in self.blocks),
+                            self._frame().take(order, axis=1))
 
     def tensor(self, other: "BlockAlgebra") -> "BlockAlgebra":
         """Tensor product algebra on the Kronecker-ordered ambient space.
 
-        Blocks are the pairwise products (n_r n_s, k_r k_s); the conjugator
-        (U1 (x) U2) Pi includes the leg shuffle Pi that regroups each
-        multiplicity/matrix pair of legs into standard form.
+        Blocks are the pairwise products (n_r n_s, k_r k_s), in order r
+        then s. Copy (i, j) and index (p, q) of block (r, s) sit at
+        (o_r + i k_r + p) n2 + (o_s + j k_s + q) in the Kronecker order, so
+        the conjugator is U1 (x) U2, or I when neither factor has one, with
+        its columns taken in that order.
         """
-        n1, n2 = self.ambient_dim, other.ambient_dim
-        n = n1 * n2
-        blocks = []
-        pi = np.zeros((n, n), dtype=np.complex128)
-        t = 0
-        for (nr, kr), o1 in zip(self.blocks, self._offsets):
-            for (ns, ks), o2 in zip(other.blocks, other._offsets):
-                blocks.append((nr * ns, kr * ks))
-                for i in range(nr):
-                    for j in range(ns):
-                        for p in range(kr):
-                            for q in range(ks):
-                                src = (o1 + i * kr + p) * n2 + (o2 + j * ks + q)
-                                tgt = t + (i * ns + j) * (kr * ks) + (p * ks + q)
-                                pi[src, tgt] = 1.0
-                t += nr * ns * kr * ks
+        n2 = other.ambient_dim
+        blocks = [(nr * ns, kr * ks) for nr, kr in self.blocks
+                  for ns, ks in other.blocks]
+        order = [(o1 + i * kr + p) * n2 + o2 + j * ks + q
+                 for (nr, kr), o1 in zip(self.blocks, self._offsets)
+                 for (ns, ks), o2 in zip(other.blocks, other._offsets)
+                 for i in range(nr) for j in range(ns)
+                 for p in range(kr) for q in range(ks)]
         if self.conjugator is None and other.conjugator is None:
-            u = pi
+            u = np.eye(self.ambient_dim * n2, dtype=np.complex128)
         else:
-            u1 = self.conjugator if self.conjugator is not None else np.eye(n1)
-            u2 = other.conjugator if other.conjugator is not None else np.eye(n2)
-            u = np.kron(u1, u2) @ pi
-        return BlockAlgebra(tuple(blocks), u)
+            u = np.kron(self._frame(), other._frame())
+        return BlockAlgebra(tuple(blocks), u.take(order, axis=1))
 
     def conjugated_by(self, u) -> "BlockAlgebra":
         """The algebra u* M u (same blocks, updated conjugator)."""
         u = as_matrix(u)
-        cur = self.conjugator if self.conjugator is not None else np.eye(self.ambient_dim)
-        return BlockAlgebra(self.blocks, u.conj().T @ cur)
+        return BlockAlgebra(self.blocks, u.conj().T @ self._frame())
 
     def equals(self, other: "BlockAlgebra", tol: float = DEFAULT_TOL) -> bool:
         """Same algebra: the same blocks up to order and the same span.
@@ -267,17 +248,11 @@ def verify_quantum_graph(graph: QuantumGraph,
 def from_classical(graph: "ClassicalGraph") -> QuantumGraph:
     """Embed a classical graph: S = span{E_uv : u ~ v}, M = diagonal."""
     n = graph.vertex_count
-    mats = []
-    for u, v in sorted(graph.edges):
-        for a, b in ((u, v), (v, u)):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[a, b] = 1.0
-            mats.append(e)
-    if mats:
-        s = OperatorSubspace(n, np.stack(mats))
-    else:
-        s = OperatorSubspace.zero(n)
-    return QuantumGraph(s, BlockAlgebra.diagonal(n))
+    ends = np.array([e for u, v in sorted(graph.edges) for e in ((u, v), (v, u))],
+                    dtype=np.intp).reshape(-1, 2)
+    units = np.zeros((len(ends), n, n), dtype=np.complex128)
+    units[np.arange(len(ends)), ends[:, 0], ends[:, 1]] = 1.0
+    return QuantumGraph(OperatorSubspace(n, units), BlockAlgebra.diagonal(n))
 
 
 def complete_quantum_graph(m: BlockAlgebra) -> QuantumGraph:
@@ -287,13 +262,8 @@ def complete_quantum_graph(m: BlockAlgebra) -> QuantumGraph:
 
 def conjugate_graph(graph: QuantumGraph, u, tol: float = DEFAULT_TOL) -> QuantumGraph:
     """Relabel by a unitary: (S, M) -> (u* S u, u* M u)."""
-    u = as_matrix(u)
     n = graph.n
-    if u.shape != (n, n):
-        raise ValueError("unitary shape %r does not match graph dimension %d"
-                         % (u.shape, n))
-    if hs_norm(u.conj().T @ u - np.eye(n)) > tol:
-        raise ValueError("conjugating matrix is not unitary")
+    u = check_unitary(u, n, "conjugating matrix", tol)
     s = OperatorSubspace(n, u.conj().T @ graph.S.basis @ u)
     return QuantumGraph(s, graph.M.conjugated_by(u))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantumgraphs as qg
@@ -102,6 +103,25 @@ def test_transform_reduce(files, capsys):
     cert = ser.certificate_from_obj(ser.load_json(str(out)))
     assert cert.fold == 1
     assert main(["color", "verify", files["c5"], str(out)]) == EXIT_OK
+
+
+def test_transform_reduce_on_failing_certificate_is_exit_one(files, capsys):
+    # vertex 1 takes the color set of its neighbour 0: only the coloring
+    # conditions fail
+    cert = ser.certificate_from_obj(ser.load_json(files["c5_fold2"]))
+    diags = [np.diag(p).copy() for p in cert.projections]
+    for d in diags:
+        d[1] = d[0]
+    bad = files["dir"] / "c5_fold2_bad.json"
+    ser.save(str(bad), ser.certificate_to_obj(qg.ColoringCertificate(
+        5, 1, 2, tuple(np.diag(d) for d in diags))))
+    code = main(["color", "transform", "reduce", str(bad), files["c5"]])
+    assert code == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "coloring_condition" in captured.out
+    assert "FAIL" in captured.out
+    assert "fails b-fold verification" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_transform_scale(files, capsys):

@@ -123,6 +123,19 @@ def test_unitary_invariance_of_bfold_certificates(c5_two_fold, haar):
     ok(verify_bfold(moved, c5_two_fold.conjugated(u)))
 
 
+def test_relabeling_by_a_non_unitary_raises(c5_two_fold, haar):
+    g = qg.from_classical(qg.cycle(5))
+    u = 1.5 * haar(5, seed=21)
+    with pytest.raises(ValueError, match="not unitary"):
+        c5_two_fold.conjugated(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        qg.conjugate_graph(g, u)
+    with pytest.raises(ValueError, match="not unitary"):
+        qg.BlockAlgebra.diagonal(5).conjugated_by(u)
+    with pytest.raises(ValueError, match="does not match"):
+        c5_two_fold.conjugated(haar(4, seed=21))
+
+
 def test_pvm_round_trip(c5_two_fold):
     family = pvm_from_bfold(c5_two_fold)
     rebuilt = bfold_from_pvm(family, c5_two_fold.colors, c5_two_fold.fold,

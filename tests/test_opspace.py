@@ -72,6 +72,14 @@ def test_orthonormalize_empty_needs_ambient_dim():
         orthonormalize([])
     z = orthonormalize([np.zeros((2, 2))])
     assert z.dim == 0
+    assert orthonormalize(np.zeros((0, 3, 3)), ambient_dim=3).dim == 0
+
+
+@pytest.mark.parametrize("family", [
+    [np.eye(2), np.eye(3)], [np.ones((2, 3))], [np.ones(4)], np.ones((2, 2, 2, 2))])
+def test_orthonormalize_rejects_mixed_or_non_square_shapes(family):
+    with pytest.raises(ValueError, match="mixed matrix shapes"):
+        orthonormalize(family)
 
 
 def test_project_is_idempotent_and_members_have_zero_residual():

@@ -9,7 +9,7 @@ from quantumgraphs.qgraph import BlockAlgebra
 
 
 def span_of(alg):
-    return orthonormalize(alg.basis())
+    return orthonormalize(alg.basis().basis)
 
 
 def test_block_algebra_dim_is_sum_of_squares():
@@ -42,7 +42,7 @@ def test_commutant_elements_commute(blocks, haar):
     m = BlockAlgebra(list(blocks), conjugator=haar(n, seed=n))
     prim = m.basis()
     comm = m.commutant().basis()
-    worst = max(np.max(np.abs(a @ b - b @ a)) for a in prim for b in comm)
+    worst = max(np.max(np.abs(a @ b - b @ a)) for a in prim.basis for b in comm.basis)
     assert worst < 1e-12
     # dimension count: multiplicities and block sizes trade places
     assert m.commutant().dim == sum(a * a for a, _ in blocks)
@@ -63,8 +63,8 @@ def test_algebra_tensor_spans_kron_products():
     assert t.ambient_dim == m1.ambient_dim * m2.ambient_dim
     assert t.dim == m1.dim * m2.dim
     ts = span_of(t)
-    for a in m1.basis():
-        for b in m2.basis():
+    for a in m1.basis().basis:
+        for b in m2.basis().basis:
             assert ts.max_residual([np.kron(a, b)]) <= DEFAULT_TOL
 
 
@@ -81,7 +81,7 @@ def test_conjugated_by(haar):
     m = BlockAlgebra([(2, 2)])
     u = haar(4, seed=3)
     moved = m.conjugated_by(u)
-    for a in m.basis():
+    for a in m.basis().basis:
         assert span_of(moved).max_residual([u.conj().T @ a @ u]) <= DEFAULT_TOL
 
 
