@@ -15,7 +15,7 @@ import sys
 from . import classical, coloring, products, serialize
 from .classical import SizeGuardError, bounds_report
 from .opspace import DEFAULT_TOL
-from .qgraph import verify_quantum_graph
+from .qgraph import from_classical, verify_quantum_graph
 from .report import VerificationFailure, VerificationReport
 
 EXIT_OK = 0
@@ -37,8 +37,13 @@ def _cmd_verify_graph(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    gq = serialize.load_any_graph(args.left)
-    hq = serialize.load_any_graph(args.right)
+    if args.classical:
+        g = serialize.load_classical_graph(args.left)
+        h = serialize.load_classical_graph(args.right)
+        gq, hq = from_classical(g), from_classical(h)
+    else:
+        gq = serialize.load_any_graph(args.left)
+        hq = serialize.load_any_graph(args.right)
     prod = products.product(gq, hq, args.kind)
     print("%s product: dim %d, dim S = %d" % (args.kind, prod.n, prod.S.dim))
     if args.kind == "lexicographic":
@@ -48,8 +53,6 @@ def _cmd_product(args) -> int:
         print("wrote %s" % args.out)
     code = _print_report(verify_quantum_graph(prod, args.tol))
     if args.classical:
-        g = serialize.load_classical_graph(args.left)
-        h = serialize.load_classical_graph(args.right)
         rep = products.classical_crosscheck(g, h, args.kind, args.tol)
         code = max(code, _print_report(rep))
     return code

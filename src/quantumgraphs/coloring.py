@@ -131,8 +131,7 @@ def _edge_with_ancilla(graph: QuantumGraph, ancilla_dim: int) -> np.ndarray:
 
 
 def _worst(x: np.ndarray) -> float:
-    """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN.
-    Squares x in place, because x can be the largest array of a check."""
+    """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN."""
     return float(np.max(_hs_norms(x), initial=0.0))
 
 

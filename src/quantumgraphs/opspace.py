@@ -5,7 +5,7 @@ Hilbert-Schmidt-orthonormal basis stacked into a (dim, n, n) array. All inner
 products use the unnormalized trace: <A, B> = Tr(B* A).
 
 Every HS norm over a stack of matrices, here and in ``qgraph`` and
-``coloring``, is taken by the one helper :func:`_hs_norms`, in place.
+``coloring``, is taken by the one helper :func:`_hs_norms`.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def check_unitary(u, n: int, what: str, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _hs_norms(x: np.ndarray) -> np.ndarray:
-    """HS norm of each matrix of a complex (..., a, b) stack. Squares the
-    float view of ``x`` in place: ``x`` must be a temporary of the caller."""
-    v = x.view(np.float64)
-    v *= v
-    return np.sqrt(v.sum(axis=(-2, -1)))
+    """HS norm of each matrix of a complex (..., a, b) stack, as one dot
+    product of each matrix's float view with itself; ``x`` is not written
+    to. NaN and Inf propagate."""
+    a, b = x.shape[-2:]
+    v = np.ascontiguousarray(x).reshape(*x.shape[:-2], a * b).view(np.float64)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _max_relative(norms: np.ndarray, scales: np.ndarray) -> float:

@@ -200,15 +200,26 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     np.negative(comp, out=comp)
     comp.flat[::n * n + 1] += 1.0
     comp = comp.reshape(n, n, n * n)
+    # live_rows[j, r]: row r of t_j has a nonzero entry (live_cols for
+    # columns); a NaN or Inf keeps every row, as 0 times it is NaN
+    if np.isfinite(t).all():
+        live_rows, live_cols = t.any(axis=2), t.any(axis=1)
+    else:
+        live_rows = live_cols = np.ones((k, n), dtype=bool)
     worst = [0.0]
     for (mult, d), off in zip(commutant.blocks, commutant._offsets):
         copies = [slice(off + p, off + mult * d, d) for p in range(d)]
         for p, q in itertools.product(range(d), repeat=2):
             # unit (p, q): left copies rows q to rows p, right copies
-            # columns p to columns q, in each of the mult copies
-            for x, rows in ((t[:, copies[q], :], comp[copies[p], :]),
-                            (t[:, :, copies[p]], comp[:, copies[q]])):
-                x = x.reshape(k, mult * n) / np.sqrt(mult)
+            # columns p to columns q, in each of the mult copies; a t_j
+            # whose moved slice is zero has residual 0 and is skipped
+            left = np.flatnonzero(live_rows[:, copies[q]].any(axis=1))
+            right = np.flatnonzero(live_cols[:, copies[p]].any(axis=1))
+            for x, rows in ((t[left, copies[q], :], comp[copies[p], :]),
+                            (t[right, :, copies[p]], comp[:, copies[q]])):
+                if not len(x):
+                    continue
+                x = x.reshape(len(x), mult * n) / np.sqrt(mult)
                 res = x @ rows.reshape(mult * n, n * n)
                 worst.append(_max_relative(_hs_norms(res[:, None]),
                                            _hs_norms(x[:, None])))
@@ -230,8 +241,14 @@ def verify_quantum_graph(graph: QuantumGraph,
     columns (right), moved and scaled. The residual of such a slice x is
     x times the matching rows of the complement projector I - F*F (F the
     flattened basis of T, acting on row vectors), so one matmul per unit
-    and side gives the residual vectors of every t_j. The projector holds
-    n^4 entries and is guarded by DENSE_BYTES_LIMIT.
+    and side gives the residual vectors of every t_j. Only the live t_j go
+    into it: those whose moved slice (rows copies of q on the left, columns
+    copies of p on the right) has a nonzero entry, found from masks of the
+    nonzero rows and columns of T taken once; a zero slice has residual 0.
+    A NaN or Inf in T keeps every t_j live. For edge spaces of classical
+    and mixed products, whose T is made of matrix units or Kronecker
+    blocks, most slices are zero. The projector holds n^4 entries and is
+    guarded by DENSE_BYTES_LIMIT.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S

@@ -1,0 +1,76 @@
+"""The bimodule residual against the dense reference on sparse edge spaces.
+
+``verify_quantum_graph`` multiplies only the basis elements whose moved row
+or column slice has a nonzero entry. Here the algebra has no conjugator, so
+the commutant's frame is a permutation of the standard one and every zero
+of the edge basis stays exactly zero there. Edge spaces are spanned by
+matrix units on random cells plus a few sparse non-units (two cells with a
+random coefficient), all on disjoint cells, so the basis is orthonormal
+as built and many residuals are nonzero on one side only. Hypothesis runs
+derandomized with a fixed example count and no example database, so every
+run checks the same inputs.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from quantumgraphs import BlockAlgebra, OperatorSubspace, QuantumGraph
+
+from test_bimodule_oracle import ATOL, assert_matches, bimodule_check, dense_bimodule
+from test_block_algebra_properties import block_lists
+
+FIXED = settings(max_examples=120, derandomize=True, database=None, deadline=None)
+
+COEFFS = [1.0, -1.0, 2.0, 1j, 0.5 - 1.5j]
+
+
+@st.composite
+def sparse_spaces(draw, m):
+    """An orthonormal stack of matrix units and up to two normalized
+    two-cell combinations, on disjoint cells of an n x n matrix. The unit
+    cells may be closed under the commutant on one side, which leaves the
+    residual on that side zero and on the other side most likely not."""
+    n = m.ambient_dim
+    # linked[x, y]: some commutant unit has a nonzero entry at (x, y)
+    linked = (m.commutant().basis().basis != 0).any(axis=0)
+    cells = draw(st.lists(st.integers(0, n * n - 1), unique=True,
+                          max_size=min(n * n, 8)))
+    side = draw(st.sampled_from([None, "left", "right"]))
+    if side == "left":
+        cells = {a * n + c % n for c in cells for a in np.flatnonzero(linked[:, c // n])}
+    elif side == "right":
+        cells = {c - c % n + b for c in cells for b in np.flatnonzero(linked[c % n])}
+    free = sorted(set(range(n * n)) - set(cells))
+    spare = draw(st.lists(st.sampled_from(free), unique=True, max_size=4)) if free else []
+    mats = np.zeros((len(cells) + len(spare) // 2, n * n), dtype=np.complex128)
+    mats[np.arange(len(cells)), sorted(cells)] = 1.0
+    for j, (x, y) in enumerate(zip(spare[::2], spare[1::2]), start=len(cells)):
+        c = draw(st.sampled_from(COEFFS))
+        mats[j, [x, y]] = np.array([1.0, c]) / np.sqrt(1.0 + abs(c) ** 2)
+    return OperatorSubspace(n, mats.reshape(-1, n, n))
+
+
+@st.composite
+def sparse_graphs(draw):
+    # blocks with n_r > 1 give the commutant blocks of size above one, and
+    # blocks with k_r > 1 give it multiplicities above one
+    m = BlockAlgebra(draw(block_lists(max_n=6)))
+    return QuantumGraph(draw(sparse_spaces(m)), m)
+
+
+def is_permutation(w):
+    return w is None or (np.isin(w, (0.0, 1.0)).all() and (w.sum(axis=0) == 1).all())
+
+
+@FIXED
+@given(sparse_graphs())
+def test_sparse_residual_matches_dense(g):
+    """S and S* each match the dense residual. Left residuals of S* are the
+    right residuals of S and the other way round, as a s_j* = (s_j a*)*
+    with a* again a commutant unit, so the two residuals agree."""
+    assert is_permutation(g.M.commutant().conjugator)
+    star = QuantumGraph(OperatorSubspace(g.n, np.conj(np.swapaxes(g.S.basis, 1, 2))),
+                        g.M)
+    assert_matches(g)
+    assert_matches(star)
+    assert abs(bimodule_check(star).residual - dense_bimodule(g)) <= ATOL

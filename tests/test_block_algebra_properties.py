@@ -23,7 +23,8 @@ def haar(n, seed):
 
 
 @st.composite
-def algebras(draw, max_n=8):
+def block_lists(draw, max_n=8):
+    """1 to 3 blocks (n_r, k_r) with sum n_r k_r <= max_n."""
     blocks = []
     room = max_n
     for _ in range(draw(st.integers(1, 3))):
@@ -33,6 +34,12 @@ def algebras(draw, max_n=8):
         size = draw(st.integers(1, room // mult))
         blocks.append((mult, size))
         room -= mult * size
+    return blocks
+
+
+@st.composite
+def algebras(draw, max_n=8):
+    blocks = draw(block_lists(max_n))
     n = sum(m * k for m, k in blocks)
     seed = draw(st.none() | st.integers(0, 2 ** 16))
     return BlockAlgebra(blocks, None if seed is None else haar(n, seed))

@@ -77,6 +77,22 @@ def test_product_lexicographic_prints_the_convention_note(files, capsys):
     assert LEXICOGRAPHIC_NOTE in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("which", ["left", "right"])
+def test_product_classical_on_a_quantum_file_is_a_usage_error(files, capsys, which):
+    """--classical reads both files as classical graphs before any work, so
+    a quantum-graph file stops the command with no product and no report."""
+    left, right = ((files["kq_m2"], files["k2"]) if which == "left"
+                   else (files["k2"], files["kq_m2"]))
+    out = files["dir"] / "prod.json"
+    code = main(["product", "--kind", "cartesian", left, right,
+                 "-o", str(out), "--classical"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "result:" not in captured.out and "product" not in captured.out
+    assert "expected kind 'classical_graph'" in captured.err
+    assert not out.exists()
+
+
 def test_color_verify_bell(files, capsys):
     assert main(["color", "verify", files["kq_m2"], files["bell2"]]) == EXIT_OK
     out = capsys.readouterr().out
