@@ -13,9 +13,8 @@ everything against exact classical solvers.
 from .classical import (BFoldAssignment, ClassicalGraph, SizeGuardError,
                         bfold_exact, chromatic_exact, classical_product,
                         clique_number, complete, cycle, graph_homomorphism,
-                        kneser, kneser_hom_check, kneser_vertices,
-                        max_independent_set, parse_dimacs, path, petersen,
-                        random_graph, to_dimacs)
+                        kneser, kneser_hom_check, max_independent_set,
+                        parse_dimacs, path, petersen, random_graph, to_dimacs)
 from .coloring import (ColoringCertificate, HomomorphismCertificate,
                        bell_coloring, bfold_from_pvm, categorical_lift,
                        combine_bfold, complete_lower_bound_extract,
@@ -24,9 +23,8 @@ from .coloring import (ColoringCertificate, HomomorphismCertificate,
                        sabidussi_witness, scale_bfold, strong_coloring,
                        to_local_cert, verify_bfold, verify_coloring,
                        verify_homomorphism)
-from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_inner, hs_norm,
-                      is_projection, orthonormalize, permute_systems,
-                      projection_meet)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_norm, is_projection,
+                      orthonormalize, permute_systems, projection_meet)
 from .products import (LEXICOGRAPHIC_NOTE, PRODUCT_KINDS, cartesian,
                        categorical, classical_crosscheck, lexicographic,
                        product, strong)

@@ -138,11 +138,6 @@ def kneser(c: int, b: int) -> ClassicalGraph:
     return ClassicalGraph(len(subsets), edges)
 
 
-def kneser_vertices(c: int, b: int) -> list:
-    """The subset labels matching kneser(c, b)'s vertex order."""
-    return list(combinations(range(c), b))
-
-
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
@@ -260,12 +255,6 @@ class BFoldAssignment:
         for u, v in graph.edges:
             if self.assignment[u] & self.assignment[v]:
                 raise ValueError("adjacent vertices %d, %d share a color" % (u, v))
-
-    def colors_used(self) -> set:
-        out = set()
-        for s in self.assignment:
-            out |= s
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import classical, coloring, products, serialize
@@ -179,8 +180,19 @@ def _cmd_report_bounds(args) -> int:
     return EXIT_OK if rep["all_ok"] else EXIT_VERIFY
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0, else an argparse usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError("need a finite number >= 0, got %r" % text)
+    return tol
+
+
 def _add_tol(p) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                    help="residual tolerance (default %g)" % DEFAULT_TOL)
 
 

@@ -7,7 +7,8 @@ edge space: P_a (X (x) I) P_a = 0. Ancilla dimension 1 certifies an ordinary
 local coloring; any finite d > 1 certifies a quantum one. Commuting-operator
 variants admit no finite-dimensional certificate and are out of scope.
 
-The verifiers read a certificate as one (colors, d, d) stack and report
+A certificate holds its operators as one read-only (count, rows, cols)
+stack, and the constructions build theirs whole. The verifiers report
 rather than raise: no projections, or a combine_bfold/scale_bfold result
 that did not recompose, gives a failing report.
 """
@@ -38,7 +39,7 @@ class ColoringCertificate:
     graph_dim: int
     ancilla_dim: int
     fold: int
-    projections: tuple
+    projections: np.ndarray
 
     def __post_init__(self):
         if self.graph_dim < 1 or self.ancilla_dim < 1:
@@ -70,7 +71,7 @@ class ColoringCertificate:
         new color -> original color."""
         keep = self.active_colors(tol)
         cert = ColoringCertificate(self.graph_dim, self.ancilla_dim, self.fold,
-                                   tuple(self.projections[a] for a in keep))
+                                   self.projections[keep])
         return cert, keep
 
     def conjugated(self, u) -> "ColoringCertificate":
@@ -79,7 +80,7 @@ class ColoringCertificate:
         u = check_unitary(u, self.graph_dim, "relabeling unitary")
         w = np.kron(u, np.eye(self.ancilla_dim))
         return ColoringCertificate(self.graph_dim, self.ancilla_dim, self.fold,
-                                   w.conj().T @ _stack(self) @ w)
+                                   w.conj().T @ self.projections @ w)
 
 
 @dataclass(frozen=True)
@@ -94,32 +95,27 @@ class HomomorphismCertificate:
     source_dim: int
     target_dim: int
     ancilla_dim: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
         shape = (self.target_dim, self.source_dim * self.ancilla_dim)
         object.__setattr__(self, "kraus", _frozen(self.kraus, shape, "Kraus"))
 
 
-def _frozen(mats, shape: tuple, what: str) -> tuple:
-    """Read-only complex copies of ``mats``, each checked to have ``shape``."""
-    out = tuple(as_matrix(x).copy() for x in mats)
-    for m in out:
+def _frozen(mats, shape: tuple, what: str) -> np.ndarray:
+    """``mats``, each checked to have ``shape``, copied into one read-only
+    complex (count, *shape) stack; (0, *shape) for none."""
+    mats = [as_matrix(x) for x in mats]
+    for m in mats:
         if m.shape != shape:
             raise ValueError("%s shape %r does not match %r" % (what, m.shape, shape))
-        m.flags.writeable = False
+    out = np.array(mats, dtype=np.complex128).reshape(-1, *shape)
+    out.flags.writeable = False
     return out
 
 
 # ---------------------------------------------------------------------------
 # verifiers
-
-def _stack(cert: ColoringCertificate) -> np.ndarray:
-    """The projections as one (colors, d, d) stack, (0, d, d) for none, so
-    every check has one code path: an empty stack aggregates to 0."""
-    d = cert.total_dim
-    return np.array(cert.projections, dtype=np.complex128).reshape(-1, d, d)
-
 
 def _membership_space(m: BlockAlgebra, ancilla_dim: int) -> OperatorSubspace:
     return m.tensor(BlockAlgebra.full(ancilla_dim)).basis()
@@ -191,7 +187,7 @@ def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
     _check_cert_graph(graph, cert)
     rep = VerificationReport("coloring certificate (%d colors, type %s)"
                              % (cert.colors, cert.strategy_type))
-    p = _stack(cert)
+    p = cert.projections
     rep.add("projections", _projection_residual(p), tol)
     memb = _membership_space(graph.M, cert.ancilla_dim)
     rep.add("algebra_membership", memb.max_residual(p), tol)
@@ -223,7 +219,7 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     b, c = cert.fold, cert.colors
     rep = VerificationReport("%d-fold coloring certificate (%d colors, type %s)"
                              % (b, c, cert.strategy_type))
-    p = _stack(cert)
+    p = cert.projections
     rep.add("projections", _projection_residual(p), tol)
     memb = _membership_space(graph.M, cert.ancilla_dim)
     rep.add("algebra_membership", memb.max_residual(p), tol)
@@ -264,8 +260,7 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
     rep = VerificationReport("homomorphism certificate (%d Kraus, ancilla %d)"
                              % (len(cert.kraus), cert.ancilla_dim))
     d_in = cert.source_dim * cert.ancilla_dim
-    fs = np.array(cert.kraus, dtype=np.complex128)
-    fs = fs.reshape(-1, cert.target_dim, d_in)
+    fs = cert.kraus
     fs_adj = adjoint(fs)
     tp = (fs_adj @ fs).sum(axis=0) - np.eye(d_in)
     rep.add("trace_preserving", hs_norm(tp), tol)
@@ -286,19 +281,25 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
 # ---------------------------------------------------------------------------
 # transformations between certificates
 
-def pvm_from_bfold(cert: ColoringCertificate, tol: float = DEFAULT_TOL):
-    """The subset PVM: list of (b-subset, Q_T) with Q_T = prod_{a in T} P_a.
-
-    Requires pairwise commuting projections; raises on the first pair whose
-    commutator is not within ``tol`` (a NaN commutator included).
-    """
-    p = _stack(cert)
+def _subset_pvm(cert: ColoringCertificate, tol: float) -> tuple:
+    """The b-subsets and their products, as _subset_products gives them,
+    of projections that commute pairwise; raises on the first pair whose
+    commutator is not within ``tol`` (a NaN commutator included)."""
+    p = cert.projections
     bad = np.flatnonzero(~(_commutators(p) <= tol))
     if bad.size:
         i, j = np.triu_indices(cert.colors, 1)
         raise ValueError("projections %d and %d do not commute"
                          % (i[bad[0]], j[bad[0]]))
-    subsets, q = _subset_products(p, cert.fold)
+    return _subset_products(p, cert.fold)
+
+
+def pvm_from_bfold(cert: ColoringCertificate, tol: float = DEFAULT_TOL):
+    """The subset PVM: list of (b-subset, Q_T) with Q_T = prod_{a in T} P_a.
+
+    Requires pairwise commuting projections (see _subset_pvm).
+    """
+    subsets, q = _subset_pvm(cert, tol)
     return list(zip(map(tuple, subsets.tolist()), q))
 
 
@@ -310,13 +311,13 @@ def bfold_from_pvm(family, colors: int, fold: int, graph_dim: int,
     as zero.
     """
     d = graph_dim * ancilla_dim
-    projs = [np.zeros((d, d), dtype=np.complex128) for _ in range(colors)]
+    projs = np.zeros((colors, d, d), dtype=np.complex128)
     for t, q in family:
         for a in t:
             if not 0 <= a < colors:
                 raise ValueError("subset %r uses a color outside [0, %d)" % (t, colors))
-            projs[a] = projs[a] + as_matrix(q)
-    return ColoringCertificate(graph_dim, ancilla_dim, fold, tuple(projs))
+            projs[a] += as_matrix(q)
+    return ColoringCertificate(graph_dim, ancilla_dim, fold, projs)
 
 
 def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
@@ -346,7 +347,7 @@ def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
         tsum = tsum + t_a
         reduced.append(p[a] - t_a)
     out = ColoringCertificate(cert.graph_dim, cert.ancilla_dim, cert.fold - 1,
-                              tuple(reduced))
+                              reduced)
     return out.pruned(tol)
 
 
@@ -355,30 +356,26 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     """Join two fold certificates on the same graph into a
     (b1+b2)-fold coloring on the disjoint union of the palettes.
 
-    The subset PVMs are embedded with independent ancilla legs and met
-    pairwise: Q_{S union (T+c1)} = (Q1_S tensored into legs (g, n1, n2))
-    meet (Q2_T likewise). The meet need not distribute over the sums that
-    rebuild the P_a, so the result is verified and returned as
-    (certificate, report); a construction that did not recompose comes back
-    with a failing report rather than an exception.
+    The subset PVMs are embedded once each, as stacks with independent
+    ancilla legs, and met pairwise: Q_{S union (T+c1)} = (Q1_S tensored
+    into legs (g, n1, n2)) meet (Q2_T likewise). The meet need not
+    distribute over the sums that rebuild the P_a, so the result is
+    verified and returned as (certificate, report); a construction that did
+    not recompose comes back with a failing report rather than an exception.
     """
     if cert1.graph_dim != graph.n or cert2.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
-    q1 = pvm_from_bfold(cert1, tol)
-    q2 = pvm_from_bfold(cert2, tol)
+    s1, q1 = _subset_pvm(cert1, tol)
+    s2, q2 = _subset_pvm(cert2, tol)
     n = graph.n
     d1, d2 = cert1.ancilla_dim, cert2.ancilla_dim
-    c1, c2 = cert1.colors, cert2.colors
-    fold = cert1.fold + cert2.fold
-    eye1, eye2 = np.eye(d1), np.eye(d2)
-    family = []
-    for s, qs in q1:
-        a_s = np.kron(qs, eye2)
-        for t, qt in q2:
-            b_t = permute_systems(np.kron(qt, eye1), [n, d2, d1], [0, 2, 1])
-            subset = tuple(sorted(s + tuple(a + c1 for a in t)))
-            family.append((subset, projection_meet(a_s, b_t, tol)))
-    cert = bfold_from_pvm(family, c1 + c2, fold, n, d1 * d2)
+    c1 = cert1.colors
+    a = np.kron(q1, np.eye(d2))
+    b = permute_systems(np.kron(q2, np.eye(d1)), [n, d2, d1], [0, 2, 1])
+    family = [(s + [x + c1 for x in t], projection_meet(a_s, b_t, tol))
+              for s, a_s in zip(s1.tolist(), a) for t, b_t in zip(s2.tolist(), b)]
+    cert = bfold_from_pvm(family, c1 + cert2.colors, cert1.fold + cert2.fold,
+                          n, d1 * d2)
     return cert, verify_bfold(graph, cert, tol)
 
 
@@ -406,8 +403,9 @@ def lexicographic_coloring(certG: ColoringCertificate,
     Each subset Q_T of G's PVM is paired with H's projection number
     rank_T(a) (the 1-based position of the color a in the ascending order
     of T): P_a = sum_{T contains a} Q_T (x) P^H_{rank_T(a)}, with legs
-    arranged as (G, H, ancilla_G, ancilla_H). The color count equals
-    certG.colors.
+    arranged as (G, H, ancilla_G, ancilla_H). All the products are formed
+    as one stack and summed into the colors subset by subset. The color
+    count equals certG.colors.
     """
     b = certG.fold
     if certH.fold != 1:
@@ -415,20 +413,16 @@ def lexicographic_coloring(certG: ColoringCertificate,
     if certH.colors != b:
         raise ValueError("H needs exactly %d colors (the fold of G), got %d"
                          % (b, certH.colors))
-    qfam = pvm_from_bfold(certG)
+    subsets, q = _subset_pvm(certG, DEFAULT_TOL)
     mg, dg = certG.graph_dim, certG.ancilla_dim
     mh, dh = certH.graph_dim, certH.ancilla_dim
-    dims = [mg, dg, mh, dh]
-    n = mg * mh
-    d_out = dg * dh
-    projs = [np.zeros((n * d_out, n * d_out), dtype=np.complex128)
-             for _ in range(certG.colors)]
-    for t, q in qfam:
-        for rank, a in enumerate(sorted(t)):
-            block = permute_systems(np.kron(q, certH.projections[rank]),
-                                    dims, [0, 2, 1, 3])
-            projs[a] = projs[a] + block
-    return ColoringCertificate(n, d_out, 1, tuple(projs))
+    # blocks[s, r] = Q_T (x) P^H_r for the s-th subset T, whose r-th color
+    # in ascending order is subsets[s, r]
+    blocks = permute_systems(np.kron(q[:, None], certH.projections[None]),
+                             [mg, dg, mh, dh], [0, 2, 1, 3])
+    projs = np.zeros((certG.colors,) + blocks.shape[2:], dtype=np.complex128)
+    np.add.at(projs, subsets, blocks)
+    return ColoringCertificate(mg * mh, dg * dh, 1, projs)
 
 
 def strong_coloring(certG: ColoringCertificate,
@@ -443,12 +437,10 @@ def strong_coloring(certG: ColoringCertificate,
         raise ValueError("strong_coloring expects 1-fold certificates")
     mg, dg = certG.graph_dim, certG.ancilla_dim
     mh, dh = certH.graph_dim, certH.ancilla_dim
-    dims = [mg, dg, mh, dh]
-    projs = []
-    for pg in certG.projections:
-        for ph in certH.projections:
-            projs.append(permute_systems(np.kron(pg, ph), dims, [0, 2, 1, 3]))
-    return ColoringCertificate(mg * mh, dg * dh, 1, tuple(projs))
+    d = mg * mh * dg * dh
+    pairs = np.kron(certG.projections[:, None], certH.projections[None])
+    projs = permute_systems(pairs, [mg, dg, mh, dh], [0, 2, 1, 3])
+    return ColoringCertificate(mg * mh, dg * dh, 1, projs.reshape(-1, d, d))
 
 
 def categorical_lift(certG: ColoringCertificate,
@@ -461,10 +453,9 @@ def categorical_lift(certG: ColoringCertificate,
     nh = int(target_dim)
     if nh < 1:
         raise ValueError("target dimension must be positive")
-    dims = [mg, dg, nh]
-    projs = [permute_systems(np.kron(p, np.eye(nh)), dims, [0, 2, 1])
-             for p in certG.projections]
-    return ColoringCertificate(mg * nh, dg, 1, tuple(projs))
+    projs = permute_systems(np.kron(certG.projections, np.eye(nh)),
+                            [mg, dg, nh], [0, 2, 1])
+    return ColoringCertificate(mg * nh, dg, 1, projs)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +510,10 @@ def hedetniemi_witness(g: QuantumGraph, h: QuantumGraph,
     """
     ng, nh = g.n, h.n
     if factor == 1:
-        fs = tuple(np.kron(np.eye(ng), np.eye(nh)[j][None, :])
-                   for j in range(nh))
+        fs = np.kron(np.eye(ng), np.eye(nh)[:, None])
         return HomomorphismCertificate(ng * nh, ng, 1, fs)
     if factor == 2:
-        fs = tuple(np.kron(np.eye(ng)[j][None, :], np.eye(nh))
-                   for j in range(ng))
+        fs = np.kron(np.eye(ng)[:, None], np.eye(nh))
         return HomomorphismCertificate(ng * nh, nh, 1, fs)
     raise ValueError("factor must be 1 or 2")
 
@@ -552,7 +541,7 @@ def complete_lower_bound_extract(graph: QuantumGraph,
     u = graph.M.conjugator
     rep = VerificationReport("complete graph lower bound extraction "
                              "(block (%d, %d), fold %d)" % (d, k, cert.fold))
-    p = _stack(cert)
+    p = cert.projections
     if u is not None:
         w = np.kron(u, np.eye(dn))
         p = w.conj().T @ p @ w

@@ -38,18 +38,6 @@ def adjoint(a) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2), order="C")
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt pairing <a, b> = Tr(b* a).
-
-    Conjugate-symmetric and sesquilinear (linear in ``a``).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch: %r vs %r" % (a.shape, b.shape))
-    return complex(np.vdot(b, a))
-
-
 def hs_norm(a) -> float:
     return float(np.linalg.norm(a))
 
@@ -155,11 +143,6 @@ class OperatorSubspace:
                 and self.contains_subspace(other, tol)
                 and other.contains_subspace(self, tol))
 
-    def sum_with(self, other: "OperatorSubspace") -> "OperatorSubspace":
-        self._check_same_ambient(other)
-        joined = np.concatenate([self.basis, other.basis], axis=0)
-        return orthonormalize(joined, ambient_dim=self.ambient_dim)
-
     def tensor(self, other: "OperatorSubspace") -> "OperatorSubspace":
         """Span of pairwise Kronecker products; basis stays orthonormal.
 
@@ -222,25 +205,28 @@ def orthonormalize(mats, ambient_dim: int | None = None) -> OperatorSubspace:
 
 
 def permute_systems(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Conjugate a matrix on a tensor product by a relabeling of the legs.
+    """Conjugate a matrix, or each matrix of a (..., n, n) stack, on a tensor
+    product by a relabeling of the legs; leading axes are kept.
 
     ``dims`` are the leg dimensions in the current order and ``perm[i]`` is
     the new position of leg ``i`` (0-indexed). Applying a permutation and
     then its inverse returns the input exactly.
     """
-    x = as_matrix(x)
+    x = np.asarray(x, dtype=np.complex128)
     dims = [int(d) for d in dims]
     k = len(dims)
     n = prod(dims)
-    if x.shape != (n, n):
+    if x.shape[-2:] != (n, n):
         raise ValueError("matrix of shape %r does not match legs %r" % (x.shape, dims))
     if sorted(perm) != list(range(k)):
         raise ValueError("perm %r is not a permutation of 0..%d" % (list(perm), k - 1))
     inv = [0] * k
     for i, p in enumerate(perm):
         inv[p] = i
-    axes = inv + [k + i for i in inv]
-    return x.reshape(dims + dims).transpose(axes).reshape(n, n)
+    lead = x.shape[:-2]
+    o = len(lead)
+    axes = list(range(o)) + [o + i for i in inv] + [o + k + i for i in inv]
+    return x.reshape(lead + (*dims, *dims)).transpose(axes).reshape(lead + (n, n))
 
 
 def is_projection(p, tol: float = DEFAULT_TOL) -> bool:

@@ -22,9 +22,10 @@ if TYPE_CHECKING:
     from .classical import ClassicalGraph
 
 #: Largest dense operator work, in bytes, that a product construction (its
-#: spanning family) or the bimodule check (its complement projector and one
-#: residual block) may allocate: 256 MiB. Peak memory is a small multiple of
-#: it. Larger inputs raise SizeGuardError before anything is allocated.
+#: spanning family), an algebra basis or the bimodule check (its complement
+#: projector and one residual block) may allocate: 256 MiB. Peak memory is a
+#: small multiple of it. Larger inputs raise SizeGuardError before anything
+#: is allocated.
 DENSE_BYTES_LIMIT = 2 ** 28
 
 
@@ -93,9 +94,13 @@ class BlockAlgebra:
         the earlier blocks, with the entry 1/sqrt(n_r) at (o_r + i k_r + p,
         o_r + i k_r + q) for each copy i. All entries go into one zero
         (dim, n, n) stack by one fancy-index assignment; a conjugator U
-        then acts on the whole stack as U units U*.
+        then acts on the whole stack as U units U*. A stack larger than
+        DENSE_BYTES_LIMIT raises SizeGuardError before it is allocated.
         """
         n = self.ambient_dim
+        check_dense_size(16 * self.dim * n * n,
+                         "the basis of an algebra of dimension %d on C^%d"
+                         % (self.dim, n))
         firsts = itertools.accumulate((k * k for _, k in self.blocks), initial=0)
         unit, row, col, mult = zip(*[
             (t + p * k + q, o + i * k + p, o + i * k + q, m)
@@ -190,8 +195,6 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     x = s_j a, for every basis unit a of the commutant and basis element
     s_j of S, without forming the products; see verify_quantum_graph."""
     n, k = s.ambient_dim, s.dim
-    check_dense_size(16 * n * n * (n * n + k),
-                     "the bimodule check on dimension %d" % n)
     w = commutant.conjugator
     t = s.basis if w is None else w.conj().T @ s.basis @ w
     f = t.reshape(k, n * n)
@@ -248,10 +251,14 @@ def verify_quantum_graph(graph: QuantumGraph,
     A NaN or Inf in T keeps every t_j live. For edge spaces of classical
     and mixed products, whose T is made of matrix units or Kronecker
     blocks, most slices are zero. The projector holds n^4 entries and is
-    guarded by DENSE_BYTES_LIMIT.
+    guarded by DENSE_BYTES_LIMIT before any check, the commutant included,
+    is formed.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S
+    n = s.ambient_dim
+    check_dense_size(16 * n * n * (n * n + s.dim),
+                     "the bimodule check on dimension %d" % n)
     commutant = graph.M.commutant()
     mp = commutant.basis()
 

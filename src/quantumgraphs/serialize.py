@@ -144,9 +144,9 @@ def certificate_from_obj(obj) -> ColoringCertificate:
     dims = [_field(obj, k, int, "certificate")
             for k in ("graph_dim", "ancilla_dim", "fold")]
     projs = _field(obj, "projections", list, "certificate")
-    return ColoringCertificate(*dims, tuple(
+    return ColoringCertificate(*dims, [
         matrix_from_obj(p, "certificate.projections[%d]" % i)
-        for i, p in enumerate(projs)))
+        for i, p in enumerate(projs)])
 
 
 def homomorphism_to_obj(h: HomomorphismCertificate) -> dict:
@@ -161,9 +161,9 @@ def homomorphism_from_obj(obj) -> HomomorphismCertificate:
     dims = [_field(obj, k, int, "homomorphism")
             for k in ("source_dim", "target_dim", "ancilla_dim")]
     kraus = _field(obj, "kraus", list, "homomorphism")
-    return HomomorphismCertificate(*dims, tuple(
+    return HomomorphismCertificate(*dims, [
         matrix_from_obj(f, "homomorphism.kraus[%d]" % i)
-        for i, f in enumerate(kraus)))
+        for i, f in enumerate(kraus)])
 
 
 def graph_to_obj(g: ClassicalGraph) -> dict:
@@ -199,9 +199,22 @@ def save(path: str, obj: dict) -> None:
         fh.write(dumps(obj))
 
 
-def load_json(path: str) -> dict:
+def _read(path: str, dimacs: bool = False):
+    """The JSON document in the file at ``path``; with ``dimacs``, a file
+    whose text does not start with "{" is parsed as DIMACS instead. JSON
+    nested too deeply for the parser raises ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    if dimacs and not text.lstrip().startswith("{"):
+        return parse_dimacs(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply to read" % path) from None
+
+
+def load_json(path: str) -> dict:
+    return _read(path)
 
 
 def load_certificate(path: str) -> ColoringCertificate:
@@ -212,25 +225,18 @@ def load_certificate(path: str) -> ColoringCertificate:
 def load_classical_graph(path: str) -> ClassicalGraph:
     """Load a classical graph from DIMACS or edge-list JSON, sniffing by
     content."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return graph_from_obj(json.loads(text))
-    return parse_dimacs(text)
+    doc = _read(path, dimacs=True)
+    return doc if isinstance(doc, ClassicalGraph) else graph_from_obj(doc)
 
 
 def load_any_graph(path: str) -> QuantumGraph:
     """Load a quantum graph, embedding classical input automatically."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped.startswith("{"):
-        return from_classical(parse_dimacs(text))
-    obj = json.loads(text)
-    if obj.get("kind") == "classical_graph":
-        return from_classical(graph_from_obj(obj))
-    return quantum_graph_from_obj(obj)
+    doc = _read(path, dimacs=True)
+    if isinstance(doc, ClassicalGraph):
+        return from_classical(doc)
+    if doc.get("kind") == "classical_graph":
+        return from_classical(graph_from_obj(doc))
+    return quantum_graph_from_obj(doc)
 
 
 __all__ = [

@@ -8,8 +8,7 @@ import quantumgraphs as qg
 from quantumgraphs.classical import (
     BFoldAssignment, ClassicalGraph, SizeGuardError, bfold_exact,
     chromatic_exact, classical_product, clique_number, graph_homomorphism,
-    kneser, kneser_hom_check, kneser_vertices, max_independent_set,
-    parse_dimacs, to_dimacs)
+    kneser, kneser_hom_check, max_independent_set, parse_dimacs, to_dimacs)
 
 
 # brute-force oracles, exponential but independent of the solvers under test
@@ -75,8 +74,9 @@ def test_complement_and_relabel():
 
 def test_petersen_is_kneser_5_2():
     # documented bijection: outer i -> {2i, 2i+1}, inner i -> {2i+2, 2i+4},
-    # all elements mod 5
-    index = {s: i for i, s in enumerate(kneser_vertices(5, 2))}
+    # all elements mod 5; kneser numbers its vertices, the 2-subsets, in
+    # lexicographic order, which is the order combinations yields
+    index = {s: i for i, s in enumerate(combinations(range(5), 2))}
     perm = []
     for i in range(5):
         perm.append(index[tuple(sorted(((2 * i) % 5, (2 * i + 1) % 5)))])
@@ -190,7 +190,6 @@ def test_bfold_assignment_validation():
         short.validate(g)
     ok = BFoldAssignment(2, 1, (frozenset({0}), frozenset({1})))
     ok.validate(g)
-    assert ok.colors_used() == {0, 1}
 
 
 def test_kneser_homomorphism_route_matches_bfold():

@@ -311,3 +311,46 @@ def test_console_script_is_wired():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "qgraph" in proc.stdout
+
+
+def test_deeply_nested_json_is_exit_two(files, capsys):
+    """100 000 nested brackets exhaust the JSON parser's recursion; the
+    loader reports the file instead of a RecursionError traceback."""
+    nest = "[" * 100_000 + "]" * 100_000
+    graph = files["dir"] / "deep_graph.json"
+    graph.write_text('{"v": 1, "kind": "quantum_graph", "dim": 2, "S": %s}' % nest)
+    cert = files["dir"] / "deep_cert.json"
+    cert.write_text('{"v": 1, "kind": "certificate", "projections": %s}' % nest)
+    for argv, path in ((["verify-graph", str(graph)], graph),
+                       (["color", "verify", files["c5"], str(cert)], cert)):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: %s: JSON nested too deeply" % path)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_non_finite_or_negative_tol_is_a_usage_error(files, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-graph", files["c5"], "--tol=" + tol])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "argument --tol: need a finite number >= 0" in captured.err
+
+
+def test_dense_work_past_the_guard_is_exit_three(files, capsys):
+    """Neither command allocates: the commutant basis of the first would
+    take 50 GiB, that of the second's left factor 931 GiB."""
+    empty = files["dir"] / "e1500.col"
+    empty.write_text("p edge 1500 0\n")
+    e2 = files["dir"] / "e2.col"
+    e2.write_text("p edge 2 0\n")
+    big = files["dir"] / "scalar500.json"
+    big.write_text(json.dumps({"v": 1, "kind": "quantum_graph", "dim": 500, "S": [],
+                               "M": {"blocks": [[500, 1]], "conjugator": None}}))
+    for argv in (["verify-graph", str(empty)],
+                 ["product", "--kind", "cartesian", str(big), str(e2)]):
+        assert main(argv) == EXIT_SIZE
+        err = capsys.readouterr().err
+        assert err.startswith("size guard:") and "Traceback" not in err

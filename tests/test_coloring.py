@@ -290,8 +290,9 @@ def test_complete_lower_bound_extract_rejects_bad_input(bell2):
     with pytest.raises(ValueError):
         complete_lower_bound_extract(two_blocks, bell2)
     graph = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
-    broken = ColoringCertificate(2, 2, 1, bell2.projections[:3] +
-                                 (np.zeros((4, 4), complex),))
+    broken = ColoringCertificate(2, 2, 1, [*bell2.projections[:3],
+                                           np.zeros((4, 4), complex)])
+    assert broken.colors == 4
     with pytest.raises(VerificationFailure):
         complete_lower_bound_extract(graph, broken)
 

@@ -161,7 +161,7 @@ def test_algebra_equality_ignores_block_order():
 
 def test_verify_rejects_reflexive_edge_space():
     base = qg.from_classical(qg.complete(3))
-    s_bad = base.S.sum_with(orthonormalize([np.eye(3, dtype=complex)]))
+    s_bad = orthonormalize(np.concatenate([base.S.basis, np.eye(3)[None]]))
     rep = qg.verify_quantum_graph(qg.QuantumGraph(s_bad, base.M))
     assert not rep.passed
     assert any("orthogonal" in c.name for c in rep.failures())
