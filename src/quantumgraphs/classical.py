@@ -21,15 +21,27 @@ class SizeGuardError(RuntimeError):
 _CHROMATIC_VERTEX_LIMIT = 26
 _BFOLD_VERTEX_LIMIT = {1: 26, 2: 18, 3: 12}
 _KNESER_VERTEX_LIMIT = 512
+# Far above every graph the solvers (26), Kneser graphs (512) and the dense
+# operator layer (about 64) can use, yet small enough that the adjacency
+# sets of an empty graph take about 30 MB instead of exhausting memory.
+GRAPH_VERTEX_LIMIT = 1 << 16
 
 PRODUCT_KINDS = ("cartesian", "categorical", "lexicographic", "strong")
+
+
+def _checked_vertex_count(n) -> int:
+    n = int(n)
+    if n > GRAPH_VERTEX_LIMIT:
+        raise SizeGuardError("graph has %d vertices (limit %d)"
+                             % (n, GRAPH_VERTEX_LIMIT))
+    return n
 
 
 class ClassicalGraph:
     """A finite simple undirected graph on vertices 0..n-1."""
 
     def __init__(self, vertex_count: int, edges):
-        n = int(vertex_count)
+        n = _checked_vertex_count(vertex_count)
         if n < 1:
             raise ValueError("vertex count must be positive")
         norm = set()
@@ -174,6 +186,7 @@ def classical_product(g: ClassicalGraph, h: ClassicalGraph,
         raise ValueError("unknown product kind %r; expected one of %r"
                          % (kind, PRODUCT_KINDS))
     ng, nh = g.vertex_count, h.vertex_count
+    _checked_vertex_count(ng * nh)  # before the quadratic edge loop
     edges = []
     for v in range(ng):
         for a in range(nh):
@@ -201,6 +214,11 @@ def classical_product(g: ClassicalGraph, h: ClassicalGraph,
 # ---------------------------------------------------------------------------
 # serialization
 
+def _line_shown(raw: str) -> str:
+    """A DIMACS line for an error message, cut to a bounded prefix."""
+    return repr(raw) if len(raw) <= 40 else repr(raw[:37]) + "..."
+
+
 def parse_dimacs(text: str) -> ClassicalGraph:
     """Parse the DIMACS coloring format: 'p edge N M' then 'e u v' lines,
     vertices 1-indexed. Comment lines start with 'c'."""
@@ -212,14 +230,14 @@ def parse_dimacs(text: str) -> ClassicalGraph:
             continue
         if tok[0] == "p":
             if len(tok) != 4 or tok[1] != "edge":
-                raise ValueError("bad DIMACS problem line: %r" % raw)
+                raise ValueError("bad DIMACS problem line: %s" % _line_shown(raw))
             n = int(tok[2])
         elif tok[0] == "e":
             if len(tok) != 3:
-                raise ValueError("bad DIMACS edge line: %r" % raw)
+                raise ValueError("bad DIMACS edge line: %s" % _line_shown(raw))
             edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
         else:
-            raise ValueError("unrecognized DIMACS line: %r" % raw)
+            raise ValueError("unrecognized DIMACS line: %s" % _line_shown(raw))
     if n is None:
         raise ValueError("DIMACS input has no problem line")
     return ClassicalGraph(n, edges)

@@ -103,12 +103,15 @@ class HomomorphismCertificate:
 
 
 def _frozen(mats, shape: tuple, what: str) -> np.ndarray:
-    """``mats``, each checked to have ``shape``, copied into one read-only
-    complex (count, *shape) stack; (0, *shape) for none."""
-    mats = [as_matrix(x) for x in mats]
-    for m in mats:
-        if m.shape != shape:
-            raise ValueError("%s shape %r does not match %r" % (what, m.shape, shape))
+    """``mats``, a (count, *shape) stack or matrices each checked to have
+    ``shape``, copied into one read-only complex (count, *shape) stack;
+    (0, *shape) for none."""
+    if not (isinstance(mats, np.ndarray) and mats.shape[1:] == shape):
+        mats = [as_matrix(x) for x in mats]
+        for m in mats:
+            if m.shape != shape:
+                raise ValueError("%s shape %r does not match %r"
+                                 % (what, m.shape, shape))
     out = np.array(mats, dtype=np.complex128).reshape(-1, *shape)
     out.flags.writeable = False
     return out

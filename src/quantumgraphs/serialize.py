@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,12 +63,36 @@ def _int_pairs(xs, path: str) -> list:
     return xs
 
 
+def _matrices_to_obj(stack: np.ndarray) -> list:
+    """One {"dim", "entries"} object per matrix of a (count, rows, cols)
+    stack, with every entry list taken from one ``tolist``."""
+    count, rows, cols = stack.shape
+    pairs = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    return [{"dim": [rows, cols], "entries": e}
+            for e in pairs.reshape(count, rows * cols, 2).tolist()]
+
+
 def matrix_to_obj(m) -> dict:
-    m = as_matrix(m)
-    rows, cols = m.shape
-    flat = m.reshape(-1)
-    return {"dim": [rows, cols],
-            "entries": [[float(x.real), float(x.imag)] for x in flat]}
+    return _matrices_to_obj(as_matrix(m)[None])[0]
+
+
+def _pairs(lists: list, count: int):
+    """``lists``, a non-empty list of JSON lists of ``count`` [re, im] pairs
+    each, as one complex (len(lists), count) array read in one conversion;
+    None unless every entry is a pair of finite numbers. A bool is not a
+    number."""
+    pairs = list(chain.from_iterable(lists))
+    try:
+        nums = list(chain.from_iterable(pairs))
+        if (set(map(len, lists)) != {count} or set(map(len, pairs)) != {2}
+                or not set(map(type, nums)) <= {int, float}):
+            return None
+        flat = np.array(nums, dtype=np.float64)
+    except (TypeError, OverflowError):  # an entry that is not a list; a huge int
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128).reshape(len(lists), count)
 
 
 def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
@@ -82,15 +108,10 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     if count != rows * cols:
         raise ValueError("%s claims %d x %d but has %d entries"
                          % (path, rows, cols, count))
-    try:
-        pairs = np.asarray(entries) if count else np.zeros((0, 2))
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if (pairs is None or pairs.shape != (count, 2)
-            or pairs.dtype.kind not in "iuf" or not np.isfinite(pairs).all()):
+    pairs = _pairs([entries], count)
+    if pairs is None:
         raise ValueError("%s: %s" % (path, _bad_entry(entries)))
-    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
-    return pairs.view(np.complex128).reshape(rows, cols)
+    return pairs.reshape(rows, cols)
 
 
 def _bad_entry(entries) -> str:
@@ -100,6 +121,22 @@ def _bad_entry(entries) -> str:
                         for x in e)):
             return "matrix entry %d is %r, not a pair of finite numbers" % (i, e)
     return "matrix entries are not pairs of finite numbers"
+
+
+def _matrix_stack(objs: list, shape: tuple, path: str):
+    """The {"dim", "entries"} objects ``objs``, all of ``shape``, as one
+    complex (len(objs), *shape) stack read in one conversion by _pairs. If
+    any of them is malformed or of another shape, the list of matrices that
+    matrix_from_obj reads one by one instead, so the bad one is named there
+    or by the certificate's shape check."""
+    dim = list(shape)
+    if objs and min(dim) > 0 and all(
+            type(o) is dict and _is_int_pair(o.get("dim")) and o["dim"] == dim
+            and type(o.get("entries")) is list for o in objs):
+        stack = _pairs([o["entries"] for o in objs], dim[0] * dim[1])
+        if stack is not None:
+            return stack.reshape(len(objs), *dim)
+    return [matrix_from_obj(x, "%s[%d]" % (path, i)) for i, x in enumerate(objs)]
 
 
 def algebra_to_obj(m: BlockAlgebra) -> dict:
@@ -118,15 +155,15 @@ def algebra_from_obj(obj, path: str = "algebra") -> BlockAlgebra:
 
 def quantum_graph_to_obj(g: QuantumGraph) -> dict:
     return {"v": SCHEMA_VERSION, "kind": "quantum_graph", "dim": g.n,
-            "S": [matrix_to_obj(x) for x in g.S.basis],
+            "S": _matrices_to_obj(g.S.basis),
             "M": algebra_to_obj(g.M)}
 
 
 def quantum_graph_from_obj(obj) -> QuantumGraph:
     _expect(obj, "quantum_graph")
     n = _field(obj, "dim", int, "quantum_graph")
-    mats = [matrix_from_obj(x, "quantum_graph.S[%d]" % i)
-            for i, x in enumerate(_field(obj, "S", list, "quantum_graph"))]
+    mats = _matrix_stack(_field(obj, "S", list, "quantum_graph"), (n, n),
+                         "quantum_graph.S")
     m = algebra_from_obj(obj.get("M"), "quantum_graph.M")
     # the stored family is a spanning set; span semantics survive the trip
     return QuantumGraph(orthonormalize(mats, ambient_dim=n), m)
@@ -136,24 +173,24 @@ def certificate_to_obj(c: ColoringCertificate) -> dict:
     return {"v": SCHEMA_VERSION, "kind": "certificate",
             "graph_dim": c.graph_dim, "ancilla_dim": c.ancilla_dim,
             "fold": c.fold,
-            "projections": [matrix_to_obj(p) for p in c.projections]}
+            "projections": _matrices_to_obj(c.projections)}
 
 
 def certificate_from_obj(obj) -> ColoringCertificate:
     _expect(obj, "certificate")
     dims = [_field(obj, k, int, "certificate")
             for k in ("graph_dim", "ancilla_dim", "fold")]
+    d = dims[0] * dims[1]
     projs = _field(obj, "projections", list, "certificate")
-    return ColoringCertificate(*dims, [
-        matrix_from_obj(p, "certificate.projections[%d]" % i)
-        for i, p in enumerate(projs)])
+    return ColoringCertificate(*dims, _matrix_stack(
+        projs, (d, d), "certificate.projections"))
 
 
 def homomorphism_to_obj(h: HomomorphismCertificate) -> dict:
     return {"v": SCHEMA_VERSION, "kind": "homomorphism",
             "source_dim": h.source_dim, "target_dim": h.target_dim,
             "ancilla_dim": h.ancilla_dim,
-            "kraus": [matrix_to_obj(f) for f in h.kraus]}
+            "kraus": _matrices_to_obj(h.kraus)}
 
 
 def homomorphism_from_obj(obj) -> HomomorphismCertificate:
@@ -161,9 +198,8 @@ def homomorphism_from_obj(obj) -> HomomorphismCertificate:
     dims = [_field(obj, k, int, "homomorphism")
             for k in ("source_dim", "target_dim", "ancilla_dim")]
     kraus = _field(obj, "kraus", list, "homomorphism")
-    return HomomorphismCertificate(*dims, [
-        matrix_from_obj(f, "homomorphism.kraus[%d]" % i)
-        for i, f in enumerate(kraus)])
+    return HomomorphismCertificate(*dims, _matrix_stack(
+        kraus, (dims[1], dims[0] * dims[2]), "homomorphism.kraus"))
 
 
 def graph_to_obj(g: ClassicalGraph) -> dict:
@@ -185,13 +221,88 @@ def _expect(obj, kind: str) -> None:
         raise ValueError("expected a JSON object")
     if obj.get("kind") != kind:
         raise ValueError("expected kind %r, got %r" % (kind, obj.get("kind")))
-    if obj.get("v") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version %r" % obj.get("v"))
+    v = obj.get("v")
+    if type(v) is not int or v != SCHEMA_VERSION:
+        raise ValueError("unsupported schema version %r" % v)
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _pair_list_text(xs: list, ind: str):
+    """The canonical text of a list of [float, float] pairs (a matrix's
+    entries) whose line starts with ``ind``, formatted by C-level joins;
+    None for any other list."""
+    head = xs[0]
+    if not (type(head) is list and len(head) == 2 and type(head[0]) is float
+            and set(map(type, xs)) == {list} and set(map(len, xs)) == {2}):
+        return None
+    one, two = ind + "  ", ind + "    "
+    nums = map(float.__repr__, chain.from_iterable(xs))
+    try:
+        body = (one + "]," + one + "[" + two).join(
+            map(("," + two).join, zip(nums, nums)))
+    except TypeError:  # an entry that is not a float
+        return None
+    if "n" in body:  # finite reprs hold only digits, ".", "e", "+" and "-"
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return "[" + one + "[" + two + body + one + "]" + ind + "]"
+
+
+def _write(x, ind: str, out: list) -> None:
+    """Append the canonical text of ``x``, whose line starts with ``ind``
+    (a newline and its indent), to ``out``. Object keys must be strings."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        text = float.__repr__(x)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(x, (list, tuple)):
+        text = _pair_list_text(x, ind) if x else "[]"
+        if text is not None:
+            out.append(text)
+            return
+        inner, sep = ind + "  ", "["
+        for item in x:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(ind + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner, sep = ind + "  ", "{"
+        for key, value in sorted(x.items()):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            sep = ","
+        out.append(ind + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(x).__name__)
 
 
 def dumps(obj: dict) -> str:
-    """Canonical serialization: stable key order, fixed layout."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent and a
+    trailing newline. The text is ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"`` byte for byte, written here because json's
+    indenting encoder is pure Python before 3.13 and formats each matrix
+    entry with its own calls."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def save(path: str, obj: dict) -> None:

@@ -63,6 +63,18 @@ def test_graph_validation():
     assert g.edge_count == 1
 
 
+def test_vertex_limit_comes_before_any_per_vertex_work():
+    limit = qg.classical.GRAPH_VERTEX_LIMIT
+    assert ClassicalGraph(limit, []).vertex_count == limit
+    with pytest.raises(SizeGuardError, match="vertices"):
+        ClassicalGraph(limit + 1, [])
+    with pytest.raises(SizeGuardError):
+        ClassicalGraph(10**12, [])
+    g = ClassicalGraph(300, [])
+    with pytest.raises(SizeGuardError):  # before its quadratic edge loop
+        qg.classical_product(g, g, "strong")
+
+
 def test_complement_and_relabel():
     c5 = qg.cycle(5)
     assert c5.complement().edge_count == 10 - 5

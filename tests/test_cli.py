@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, golden transcripts."""
 
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,38 @@ def test_console_script_is_wired():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "qgraph" in proc.stdout
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.col", "p edge 100000000 0\n"),
+    ("huge.json", json.dumps({"kind": "classical_graph", "v": 1,
+                              "vertices": 100000000, "edges": []}))],
+    ids=["dimacs", "json"])
+def test_huge_vertex_count_is_exit_three(tmp_path, name, text):
+    """The vertex limit refuses the graph before any per-vertex work. The
+    run is capped at 1.5 GB of address space, so a regression fails fast
+    instead of exhausting the machine's memory."""
+    path = tmp_path / name
+    path.write_text(text)
+    cap = 1536 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantumgraphs.cli", "classical", "chi", str(path)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == EXIT_SIZE, proc.stderr[-500:]
+    assert proc.stderr.startswith("size guard:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "[" * 100_000 + "]" * 100_000,
+    "p edge 5 " + "7 " * 100_000,
+    "e 1 2 " + "3 " * 100_000], ids=["unrecognized", "problem", "edge"])
+def test_dimacs_errors_echo_a_bounded_prefix(files, capsys, line):
+    path = files["dir"] / "long_line.col"
+    path.write_text("p edge 5 0\n" * line.startswith("e") + line + "\n")
+    assert main(["classical", "chi", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "DIMACS" in err and len(err.encode()) < 200
 
 
 def test_deeply_nested_json_is_exit_two(files, capsys):

@@ -26,7 +26,8 @@ def test_matrix_from_obj_rejects_malformed():
 
 @pytest.mark.parametrize("entry", [
     ["a", 0], [None, 0], [1.0], [1.0, 2.0, 3.0], 1.0, "1",
-    [float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0]])
+    [float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0],
+    [True, 0.0], [0.5, False]])
 def test_matrix_from_obj_rejects_bad_entries(entry):
     obj = {"dim": [1, 2], "entries": [[1.0, 0.0], entry]}
     with pytest.raises(ValueError, match="entry 1"):
@@ -97,9 +98,9 @@ def test_kind_and_version_checks(bell2):
     cert_obj = ser.certificate_to_obj(bell2)
     with pytest.raises(ValueError):
         ser.quantum_graph_from_obj(cert_obj)  # wrong kind
-    stale = dict(cert_obj, v=99)
-    with pytest.raises(ValueError):
-        ser.certificate_from_obj(stale)
+    for v in (99, True, 1.0, "1"):  # the version is the integer 1
+        with pytest.raises(ValueError, match="schema version"):
+            ser.certificate_from_obj(dict(cert_obj, v=v))
     with pytest.raises(ValueError):
         ser.certificate_from_obj([1, 2, 3])
 
