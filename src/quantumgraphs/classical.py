@@ -181,33 +181,29 @@ def random_graph(n: int, p: float, seed: int) -> ClassicalGraph:
 
 def classical_product(g: ClassicalGraph, h: ClassicalGraph,
                       kind: str) -> ClassicalGraph:
-    """One of the four graph products on vertex pairs (v, a) -> v*|V(h)| + a."""
+    """One of the four graph products on vertex pairs (v, a) -> v*|V(h)| + a.
+
+    The edges are built from the factors' edge lists. A G-edge (v, w) joins
+    (v, a) to (w, b) for the pairs (a, b) its kind allows: a = b (cartesian,
+    strong), an H-edge in either orientation (categorical, strong) or any
+    pair (lexicographic). Every kind but the categorical one also joins
+    (v, a) to (v, b) for each H-edge (a, b).
+    """
     if kind not in PRODUCT_KINDS:
         raise ValueError("unknown product kind %r; expected one of %r"
                          % (kind, PRODUCT_KINDS))
     ng, nh = g.vertex_count, h.vertex_count
-    _checked_vertex_count(ng * nh)  # before the quadratic edge loop
-    edges = []
-    for v in range(ng):
-        for a in range(nh):
-            i = v * nh + a
-            for w in range(ng):
-                for b in range(nh):
-                    j = w * nh + b
-                    if j <= i:
-                        continue
-                    gv = g.has_edge(v, w)
-                    ha = h.has_edge(a, b)
-                    if kind == "cartesian":
-                        e = (gv and a == b) or (v == w and ha)
-                    elif kind == "categorical":
-                        e = gv and ha
-                    elif kind == "lexicographic":
-                        e = gv or (v == w and ha)
-                    else:
-                        e = (gv and a == b) or (v == w and ha) or (gv and ha)
-                    if e:
-                        edges.append((i, j))
+    _checked_vertex_count(ng * nh)  # before any edge list is built
+    along = []
+    if kind in ("cartesian", "strong"):
+        along += [(a, a) for a in range(nh)]
+    if kind in ("categorical", "strong"):
+        along += [p for a, b in h.edges for p in ((a, b), (b, a))]
+    if kind == "lexicographic":
+        along = [(a, b) for a in range(nh) for b in range(nh)]
+    edges = [(v * nh + a, w * nh + b) for v, w in g.edges for a, b in along]
+    if kind != "categorical":
+        edges += [(v * nh + a, v * nh + b) for v in range(ng) for a, b in h.edges]
     return ClassicalGraph(ng * nh, edges)
 
 

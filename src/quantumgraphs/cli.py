@@ -54,7 +54,7 @@ def _cmd_product(args) -> int:
         print("wrote %s" % args.out)
     code = _print_report(verify_quantum_graph(prod, args.tol))
     if args.classical:
-        rep = products.classical_crosscheck(g, h, args.kind, args.tol)
+        rep = products.classical_crosscheck(g, h, args.kind, args.tol, prod)
         code = max(code, _print_report(rep))
     return code
 

@@ -94,25 +94,28 @@ def strong(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
 
 
 def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
-                         tol: float = DEFAULT_TOL) -> VerificationReport:
+                         tol: float = DEFAULT_TOL,
+                         quantum: QuantumGraph | None = None) -> VerificationReport:
     """Check that the quantum product of classical embeddings is the
     embedding of the classical product.
 
     Vertex (v, a) of the classical product has index v*nh + a, which is the
     Kronecker index of delta_v (x) delta_a, so both sides live on the same
     space and are compared by mutual containment without any relabeling.
+    ``quantum`` carries product(from_classical(g), from_classical(h), kind)
+    when the caller has built it already; without it the product is built
+    here. The classical side is always built here, from classical_product.
     """
     rep = VerificationReport("classical product cross-check (%s)" % kind)
-    gq = from_classical(g)
-    hq = from_classical(h)
-    prod_q = product(gq, hq, kind)
+    if quantum is None:
+        quantum = product(from_classical(g), from_classical(h), kind)
     prod_c = from_classical(classical_product(g, h, kind))
 
-    for name, a, b in (("edge_space_match", prod_q.S, prod_c.S),
-                       ("algebra_match", prod_q.M.basis(), prod_c.M.basis())):
+    for name, a, b in (("edge_space_match", quantum.S, prod_c.S),
+                       ("algebra_match", quantum.M.basis(), prod_c.M.basis())):
         both = [a.max_residual(b.basis), b.max_residual(a.basis)]
         rep.add(name, np.max(both), tol)
-    rep.add("edge_space_dimension", float(prod_c.S.dim != prod_q.S.dim), tol)
+    rep.add("edge_space_dimension", float(prod_c.S.dim != quantum.S.dim), tol)
     if kind == "lexicographic":
         rep.notes.append(LEXICOGRAPHIC_NOTE)
     return rep

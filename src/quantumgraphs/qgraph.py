@@ -193,7 +193,9 @@ class QuantumGraph:
 def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     """Largest residual ||x - P_S x|| / max(1, ||x||) over x = a s_j and
     x = s_j a, for every basis unit a of the commutant and basis element
-    s_j of S, without forming the products; see verify_quantum_graph."""
+    s_j of S, without forming the products: per run of equal commutant
+    blocks and side, one stack of live slices and one chunked batched
+    matmul per target index; see verify_quantum_graph."""
     n, k = s.ambient_dim, s.dim
     w = commutant.conjugator
     t = s.basis if w is None else w.conj().T @ s.basis @ w
@@ -209,23 +211,49 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
         live_rows, live_cols = t.any(axis=2), t.any(axis=1)
     else:
         live_rows = live_cols = np.ones((k, n), dtype=bool)
+    # the right side is the left side of the transposes: columns of t_j
+    # are rows of t_j^T, and projector row (r, c) is row (c, r) of comp^T
+    sides = ((t, comp, live_rows),
+             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))
     worst = [0.0]
-    for (mult, d), off in zip(commutant.blocks, commutant._offsets):
-        copies = [slice(off + p, off + mult * d, d) for p in range(d)]
-        for p, q in itertools.product(range(d), repeat=2):
-            # unit (p, q): left copies rows q to rows p, right copies
-            # columns p to columns q, in each of the mult copies; a t_j
-            # whose moved slice is zero has residual 0 and is skipped
-            left = np.flatnonzero(live_rows[:, copies[q]].any(axis=1))
-            right = np.flatnonzero(live_cols[:, copies[p]].any(axis=1))
-            for x, rows in ((t[left, copies[q], :], comp[copies[p], :]),
-                            (t[right, :, copies[p]], comp[:, copies[q]])):
-                if not len(x):
-                    continue
-                x = x.reshape(len(x), mult * n) / np.sqrt(mult)
-                res = x @ rows.reshape(mult * n, n * n)
-                worst.append(_max_relative(_hs_norms(res[:, None]),
-                                           _hs_norms(x[:, None])))
+    end = 0
+    for (mult, d), run in itertools.groupby(commutant.blocks):
+        # a run of equal blocks (mult, d): index off + (b mult + i) d + e
+        # is copy i, index e of its block b
+        off, count = end, len(list(run))
+        end = off + count * mult * d
+        for x, rows, live in sides:
+            # the live slices (b, j, src): rows copies of src of t_j in
+            # block b, gathered per block into a zero-padded stack
+            b, j, src = np.nonzero(
+                live[:, off:end].reshape(k, count, mult, d).any(axis=2)
+                .transpose(1, 0, 2))
+            if not len(b):
+                continue
+            # b is sorted: a slice's slot is its distance from its block's first
+            slot = np.arange(len(b)) - np.searchsorted(b, b)
+            lmax = int(slot.max()) + 1
+            stack = np.zeros((count, lmax, mult * n), dtype=np.complex128)
+            stack[b, slot] = (x[:, off:end].reshape(k, count, mult, d, n)[j, b, :, src]
+                              .reshape(-1, mult * n) / np.sqrt(mult))
+            scale = _hs_norms(stack[..., None, :])
+            # chunks of at most dim S * n^2 residual entries; with more than
+            # one copy per block the reshape below may copy each block's
+            # mult n projector rows, and they count against the same bound
+            height = min(lmax, k)
+            rows_held = max(height, mult * n) if mult > 1 else height
+            width = max(1, k // rows_held)
+            for dst in range(d):
+                # unit (dst, src) moves each slice to rows copies of dst
+                proj = rows[off + dst:end:d].reshape(count, mult, n, n * n)
+                for b0 in range(0, count, width):
+                    part = proj[b0:b0 + width].reshape(-1, mult * n, n * n)
+                    for l0 in range(0, lmax, height):
+                        # one residual block alive at a time
+                        norms = _hs_norms(
+                            (stack[b0:b0 + width, l0:l0 + height] @ part)[..., None, :])
+                        worst.append(_max_relative(
+                            norms, scale[b0:b0 + width, l0:l0 + height]))
     return float(np.max(worst))
 
 
@@ -243,16 +271,20 @@ def verify_quantum_graph(graph: QuantumGraph,
     o+id+q}, so a t_j times a unit is a slice of t_j: m rows (left) or m
     columns (right), moved and scaled. The residual of such a slice x is
     x times the matching rows of the complement projector I - F*F (F the
-    flattened basis of T, acting on row vectors), so one matmul per unit
-    and side gives the residual vectors of every t_j. Only the live t_j go
-    into it: those whose moved slice (rows copies of q on the left, columns
-    copies of p on the right) has a nonzero entry, found from masks of the
-    nonzero rows and columns of T taken once; a zero slice has residual 0.
-    A NaN or Inf in T keeps every t_j live. For edge spaces of classical
+    flattened basis of T, acting on row vectors). Only live slices are
+    multiplied: those with a nonzero entry, found from masks of the nonzero
+    rows and columns of T taken once; a zero slice has residual 0, and a
+    NaN or Inf in T keeps every slice live. For edge spaces of classical
     and mixed products, whose T is made of matrix units or Kronecker
-    blocks, most slices are zero. The projector holds n^4 entries and is
-    guarded by DENSE_BYTES_LIMIT before any check, the commutant included,
-    is formed.
+    blocks, most slices are zero. Consecutive blocks with the same (m, d)
+    form a run (a diagonal commutant D_n is one run of n blocks). Per run
+    and side the live slices of each block go into one zero-padded stack,
+    and one batched matmul per target index p (per q on the right side)
+    against strided views of the projector gives the residuals of every
+    block's slices; the matmul is chunked so that no residual block holds
+    more than dim S * n^2 entries. The projector holds n^4 entries, and it
+    and one residual block are guarded by DENSE_BYTES_LIMIT before any
+    check, the commutant included, is formed.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S

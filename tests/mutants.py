@@ -1,0 +1,177 @@
+"""Mutation checks: deliberate one-place faults that named tests must catch.
+
+Usage, from the root of a checkout:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+    python tests/mutants.py --list
+
+Each mutant names a file under src/, an exact snippet that must occur in it
+exactly once, its replacement, and the test ids that must fail. The runner
+first runs every named test on an unchanged copy of src/, where all of them
+must pass. Then, for each mutant, it copies src/ to a temporary directory,
+applies the replacement there and runs the mutant's tests with that copy
+first on PYTHONPATH; the mutant is killed when each of its test ids has a
+failing test. The checkout itself is never modified. The exit status is 1
+when a mutant survives, a snippet does not match exactly once, a test
+fails on the unchanged copy or the package is not imported from the copy.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join("src", "quantumgraphs")
+
+ONE_SIDED = "tests/test_bimodule_oracle.py::test_one_sided_failures_match"
+PERTURBED = "tests/test_bimodule_oracle.py::test_perturbed_edge_spaces_match"
+MULTI_BLOCK = "tests/test_bimodule_oracle.py::test_multi_block_algebras_match"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = [
+    Mutant("left-rows-as-columns", "qgraph.py",
+           "sides = ((t, comp, live_rows),",
+           "sides = ((t, comp.transpose(1, 0, 2), live_rows),",
+           (ONE_SIDED,)),
+    Mutant("right-columns-as-rows", "qgraph.py",
+           "(t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))",
+           "(t.transpose(0, 2, 1), comp, live_cols))",
+           (ONE_SIDED,)),
+    Mutant("no-multiplicity-scaling", "qgraph.py",
+           ".reshape(-1, mult * n) / np.sqrt(mult))",
+           ".reshape(-1, mult * n))",
+           (PERTURBED,)),
+    Mutant("right-side-skipped", "qgraph.py",
+           "sides = ((t, comp, live_rows),\n"
+           "             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))",
+           "sides = ((t, comp, live_rows),)",
+           (ONE_SIDED,)),
+    Mutant("row-mask-for-columns", "qgraph.py",
+           "comp.transpose(1, 0, 2), live_cols))",
+           "comp.transpose(1, 0, 2), live_rows))",
+           (ONE_SIDED,)),
+    Mutant("copy-and-unit-index-swapped", "qgraph.py",
+           ".reshape(k, count, mult, d, n)[j, b, :, src]",
+           ".reshape(k, count, d, mult, n)[j, b, src]",
+           (MULTI_BLOCK, PERTURBED)),
+    Mutant("first-block-chunk-only", "qgraph.py",
+           "for b0 in range(0, count, width):",
+           "for b0 in range(0, min(count, width), width):",
+           (PERTURBED,)),
+    Mutant("crosscheck-against-itself", "products.py",
+           "prod_c = from_classical(classical_product(g, h, kind))",
+           "prod_c = quantum",
+           ("tests/test_products.py::test_classical_crosscheck_fails_on_another_kinds_product",
+            "tests/test_cli.py::test_product_classical_fails_on_another_kinds_product")),
+    Mutant("classical-product-without-g-edges", "classical.py",
+           "edges = [(v * nh + a, w * nh + b) for v, w in g.edges for a, b in along]",
+           "edges = []",
+           ("tests/test_product_properties.py::"
+            "test_classical_product_matches_the_vertex_pair_definition",
+            "tests/test_classical.py::test_classical_product_edge_counts")),
+    Mutant("strong-product-without-its-s-s-part", "products.py",
+           '"strong": (("S", "C"), ("C", "S"), ("S", "S")),',
+           '"strong": (("S", "C"), ("C", "S")),',
+           ("tests/test_product_properties.py::"
+            "test_product_dimension_follows_the_counting_formula",)),
+]
+
+
+def env_for(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def imported_from(src: str) -> str:
+    """Where the package is imported from with ``src`` first on the path."""
+    return subprocess.run(
+        [sys.executable, "-c", "import quantumgraphs; print(quantumgraphs.__file__)"],
+        cwd=ROOT, env=env_for(src), capture_output=True, text=True).stdout.strip()
+
+
+def run_tests(src: str, tests) -> set:
+    """Run the tests with ``src`` first on the path; the failing node ids."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE",
+         "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env_for(src), capture_output=True, text=True)
+    failed = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            failed.add(line.split()[1])
+    if proc.returncode not in (0, 1):
+        failed.add("<pytest exit %d>" % proc.returncode)
+    return failed
+
+
+def caught(test: str, failed: set) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def copy_src(tmp: str) -> str:
+    src = os.path.join(tmp, "src")
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main(argv) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(m.name)
+        return 0
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_src(tmp)
+        where = imported_from(src)
+        if not where.startswith(src + os.sep):
+            print("the copy of src/ is not what gets imported (got %r)" % where)
+            return 1
+        tests = sorted({t for m in chosen for t in m.tests})
+        failed = run_tests(src, tests)
+        if failed:
+            print("tests fail on the unchanged source: %s" % ", ".join(sorted(failed)))
+            return 1
+    for m in chosen:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(tmp)
+            path = os.path.join(tmp, PACKAGE, m.file)
+            with open(path) as fh:
+                text = fh.read()
+            if text.count(m.old) != 1:
+                print("%-38s snippet matches %d times in %s"
+                      % (m.name, text.count(m.old), m.file))
+                bad += 1
+                continue
+            with open(path, "w") as fh:
+                fh.write(text.replace(m.old, m.new))
+            failed = run_tests(src, m.tests)
+        survived = [t for t in m.tests if not caught(t, failed)]
+        print("%-38s %s" % (m.name, "SURVIVED by %s" % ", ".join(survived)
+                             if survived else "killed"))
+        bad += bool(survived)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -56,8 +56,12 @@ def unitary(n, seed):
 # the graph names of the ``quantum_corpus`` fixture (conftest.py)
 NAMES = ["K1", "K2", "K3", "P3", "C4", "C5", "KQ_M2", "KQ_I2xM2"]
 
-# algebras whose commutant has a block of multiplicity above one
-MULTI_BLOCK = [[(2, 2), (1, 3)], [(1, 2), (3, 1)], [(2, 1), (1, 2)], [(1, 3)]]
+# algebras whose commutant has a block of multiplicity above one; the last
+# three give commutants with runs of equal blocks, (2, 2) twice, (1, 1)
+# twice and (2, 1) twice, which the check batches
+MULTI_BLOCK = [[(2, 2), (1, 3)], [(1, 2), (3, 1)], [(2, 1), (1, 2)], [(1, 3)],
+               [(2, 2), (2, 2), (1, 3)], [(1, 1), (1, 1), (1, 2)],
+               [(1, 2), (1, 2), (1, 1)]]
 
 
 def multi_block(blocks, seed):
@@ -117,8 +121,9 @@ def test_perturbed_edge_spaces_match(quantum_corpus, eps):
     corpus = dict(quantum_corpus)
     # every subspace is a bimodule over the scalars, so MULTI_BLOCK[3]
     # (M = M_3) cannot fail and is left out here
-    graphs = [multi_block(b, 11) for b in MULTI_BLOCK[:3]]
+    graphs = [multi_block(b, 11) for b in MULTI_BLOCK[:3] + MULTI_BLOCK[4:]]
     graphs += [product(corpus["C4"], corpus["KQ_I2xM2"], "strong"),
+               product(corpus["P3"], corpus["KQ_M2"], "cartesian"),
                qg.conjugate_graph(product(corpus["P3"], corpus["K2"], "lexicographic"),
                                   unitary(6, 12))]
     verdicts = [assert_matches(perturbed(g, eps, seed)) for seed, g in enumerate(graphs)]
@@ -128,8 +133,9 @@ def test_perturbed_edge_spaces_match(quantum_corpus, eps):
         assert all(verdicts)
 
 
-def test_one_sided_failures_match():
-    """span{X} fails only on the right and span{X*} only on the left."""
+def test_one_sided_failures_match(quantum_corpus):
+    """span{X} fails only on the right and span{X*} only on the left; and a
+    sparse failure in a run of blocks with unequal live-slice counts."""
     x = np.zeros((3, 3), complex)
     x[0, 1] = x[0, 2] = 1.0
     d3 = BlockAlgebra.diagonal(3)
@@ -139,10 +145,22 @@ def test_one_sided_failures_match():
         # x = s E_11 = E_01 / sqrt 2 lies at distance 1/2 from span{s}
         assert bimodule_check(g).residual == pytest.approx(0.5, abs=ATOL)
         assert assert_matches(qg.conjugate_graph(g, unitary(3, 4))) is False
+    # P3 x KQ_M2: commutant blocks (2, 1) three times, with 4, 5 and 4 live
+    # slices per side; mixing a block-0 element with a block-2 one breaks
+    # left and right closure while the basis stays sparse
+    corpus = dict(quantum_corpus)
+    p = product(corpus["P3"], corpus["KQ_M2"], "cartesian")
+    mixed = (p.S.basis[0] + p.S.basis[3]) / np.sqrt(2)
+    g = QuantumGraph(OperatorSubspace(p.n, np.concatenate(
+        [mixed[None], p.S.basis[1:3], p.S.basis[4:]])), p.M)
+    assert not assert_matches(g)
 
 
 def test_nan_in_the_edge_space_fails_without_raising(quantum_corpus):
-    for g in (dict(quantum_corpus)["C5"], multi_block([(2, 2), (1, 3)], 5)):
+    corpus = dict(quantum_corpus)
+    for g in (corpus["C5"], multi_block([(2, 2), (1, 3)], 5),
+              multi_block([(2, 2), (2, 2), (1, 3)], 5),
+              product(corpus["P3"], corpus["KQ_M2"], "cartesian")):
         basis = g.S.basis.copy()
         basis[0, 0, 1] = np.nan
         bad = QuantumGraph(OperatorSubspace(g.n, basis), g.M)

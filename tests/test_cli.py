@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quantumgraphs as qg
-from quantumgraphs import serialize as ser
+from quantumgraphs import products, serialize as ser
 from quantumgraphs.cli import EXIT_OK, EXIT_SIZE, EXIT_USAGE, EXIT_VERIFY, main
 from quantumgraphs.products import LEXICOGRAPHIC_NOTE
 
@@ -92,6 +92,48 @@ def test_product_classical_on_a_quantum_file_is_a_usage_error(files, capsys, whi
     assert "result:" not in captured.out and "product" not in captured.out
     assert "expected kind 'classical_graph'" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", qg.PRODUCT_KINDS)
+def test_product_classical_builds_the_product_once(files, capsys, monkeypatch, kind):
+    """The command builds one quantum product and hands it to the
+    cross-check, which builds only the classical side itself."""
+    real, calls = products.product, []
+    monkeypatch.setattr(products, "product",
+                        lambda *args: calls.append(args) or real(*args))
+    code = main(["product", "--kind", kind, files["c5"], files["k3"], "--classical"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", qg.PRODUCT_KINDS)
+def test_product_classical_prints_the_library_reports(files, capsys, kind):
+    g = ser.load_classical_graph(files["c5"])
+    h = ser.load_classical_graph(files["k3"])
+    prod = products.product(qg.from_classical(g), qg.from_classical(h), kind)
+    lines = ["%s product: dim %d, dim S = %d" % (kind, prod.n, prod.S.dim)]
+    if kind == "lexicographic":
+        lines.append("note: " + LEXICOGRAPHIC_NOTE)
+    lines += [str(qg.verify_quantum_graph(prod)),
+              str(products.classical_crosscheck(g, h, kind))]
+    assert main(["product", "--kind", kind, files["c5"], files["k3"],
+                 "--classical"]) == EXIT_OK
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_product_classical_fails_on_another_kinds_product(files, capsys, monkeypatch):
+    """The cross-check behind the command still compares against an
+    independently built classical product."""
+    real = products.classical_product
+    monkeypatch.setattr(products, "classical_product",
+                        lambda g, h, kind: real(g, h, "strong"))
+    code = main(["product", "--kind", "cartesian", files["c5"], files["k3"],
+                 "--classical"])
+    assert code == EXIT_VERIFY
+    out = capsys.readouterr().out
+    cross = out[out.index("classical product cross-check"):]
+    failed = [line.split()[0] for line in cross.splitlines() if line.endswith("FAIL")]
+    assert "edge_space_match" in failed
 
 
 def test_color_verify_bell(files, capsys):
