@@ -431,24 +431,41 @@ def _greedy_clique_size(adj: list, avail: int) -> int:
     return size
 
 
+def _twin_groups(adj: list) -> list:
+    """The groups of two or more true twins, vertices with the same closed
+    neighbourhood, as bitsets."""
+    groups = {}
+    for v, a in enumerate(adj):
+        closed = a | 1 << v
+        groups[closed] = groups.get(closed, 0) | 1 << v
+    return [m for m in groups.values() if m & (m - 1)]
+
+
 def chromatic_exact(g: ClassicalGraph) -> int:
     """The chromatic number, exact, by branching on whole color classes.
 
-    Bounds first: the lower bound is the larger of the clique number and
-    ceil(n / alpha), the upper bound the better of DSATUR greedy and
-    independent-set peeling. The gap is closed by one search over vertex
-    sets R (Lawler, IPL 1976; Eppstein, JGAA 2003). G[R] is k-colorable iff
-    some maximal independent set I of G[R] that contains a chosen vertex v
-    leaves G[R - I] (k-1)-colorable, because any color class can be grown
-    to a maximal one by taking vertices from the other classes. The
-    candidates I are {v} joined to each maximal independent set of
-    G[R - N[v]], and v is the vertex with the fewest non-neighbours in R.
-    The search keeps its best coloring count as the bound, and a remainder
-    R is cut off when a greedy clique of G[R], ceil(|R| / alpha(G[R])) or
-    an earlier failure on R rules out the colors left. alpha(G[R]) is
-    computed only when a greedy independent set cannot rule that bound
-    out, and is memoized per R; every searched R records the largest color
-    count known to fail on it.
+    Bounds first, each only while the gap is open: the lower bound
+    ceil(n / alpha) and the DSATUR greedy upper bound, then the clique
+    number, then the upper bound of independent-set peeling. The gap is
+    closed by one search over vertex sets R (Lawler, IPL 1976; Eppstein,
+    JGAA 2003). G[R] is k-colorable iff some maximal independent set I of
+    G[R] that contains a chosen vertex v leaves G[R - I] (k-1)-colorable,
+    because any color class can be grown to a maximal one by taking
+    vertices from the other classes. The candidates I are {v} joined to
+    each maximal independent set of G[R - N[v]], and v is the vertex with
+    the fewest non-neighbours in R. True twins, vertices with the same
+    closed neighbourhood in G, stay twins in every G[R], are adjacent, and
+    swapping two of them maps colorings to colorings; so of each group of
+    twins only the lowest in R - N[v] is offered to the classes through v,
+    and alpha(G) is taken with all but the lowest twin of each group
+    removed. False twins (same open neighbourhood) may share a class and
+    are not merged. The search keeps its best coloring count as the bound,
+    and a remainder R is cut off when a greedy clique of G[R],
+    ceil(|R| / alpha(G[R])) or an earlier failure on R rules out the colors
+    left. alpha(G[R]) is computed only when a greedy independent set cannot
+    rule that bound out, and is memoized per R; every searched R records
+    the largest color count known to fail on it. Nothing is kept between
+    calls.
     """
     n = g.vertex_count
     if n > _CHROMATIC_VERTEX_LIMIT:
@@ -458,10 +475,17 @@ def chromatic_exact(g: ClassicalGraph) -> int:
         return 1
     adj = _adjacency_masks(g)
     full = (1 << n) - 1
-    alpha = {full: _max_independent_mask(adj, full).bit_count()}
+    twins = _twin_groups(adj)
+    dup = sum(m & (m - 1) for m in twins)  # all but the lowest twin of each group
+    alpha = {full: _max_independent_mask(adj, full & ~dup).bit_count()}
     co_adj = _complement_masks(adj)
-    omega = _max_independent_mask(co_adj, full).bit_count()
-    fails = {full: max(omega, -(-n // alpha[full])) - 1}
+    lo = -(-n // alpha[full])
+    ub = max(_dsatur_greedy(g)) + 1
+    if lo < ub:
+        lo = max(lo, _max_independent_mask(co_adj, full).bit_count())
+    if lo < ub:
+        ub = min(ub, _peel_color_count(adj))
+    fails = {full: lo - 1}
 
     def least(rest: int, bound: int, alpha_above: int) -> int:
         """min(chi(G[rest]), bound); alpha_above bounds alpha(G[rest])."""
@@ -479,6 +503,9 @@ def chromatic_exact(g: ClassicalGraph) -> int:
         if lo < bound:
             v = min(_bits(rest), key=lambda u: (rest & ~adj[u]).bit_count())
             inside = rest & ~adj[v] & ~(1 << v)
+            for m in twins:
+                m &= inside
+                inside &= ~(m & (m - 1))
             for cls in _maximal_independent_sets(adj, inside):
                 bound = min(bound, 1 + least(rest & ~cls & ~(1 << v), bound - 1,
                                              alpha_above))
@@ -487,7 +514,6 @@ def chromatic_exact(g: ClassicalGraph) -> int:
         fails[rest] = max(fails.get(rest, 0), bound - 1)
         return bound
 
-    ub = min(max(_dsatur_greedy(g)) + 1, _peel_color_count(adj))
     return least(full, ub, alpha[full])
 
 

@@ -32,6 +32,11 @@ PACKAGE = os.path.join("src", "quantumgraphs")
 ONE_SIDED = "tests/test_bimodule_oracle.py::test_one_sided_failures_match"
 PERTURBED = "tests/test_bimodule_oracle.py::test_perturbed_edge_spaces_match"
 MULTI_BLOCK = "tests/test_bimodule_oracle.py::test_multi_block_algebras_match"
+PLANTED_TWINS = "tests/test_chromatic_oracle.py::test_chromatic_matches_oracle_with_planted_twins"
+CHI_RANDOM = "tests/test_chromatic_oracle.py::test_chromatic_matches_oracle_on_random_graphs"
+CHI_CLOSED_FORMS = "tests/test_chromatic_oracle.py::test_product_closed_forms_under_relabeling"
+BFOLD_RANDOM = "tests/test_bfold_oracle.py::test_bfold_matches_lexicographic_oracle_on_random_graphs"
+BFOLD_BEYOND = "tests/test_bfold_oracle.py::test_bfold_on_petersen_and_odd_cycles_beyond_the_oracle"
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,38 @@ MUTANTS = [
            '"strong": (("S", "C"), ("C", "S")),',
            ("tests/test_product_properties.py::"
             "test_product_dimension_follows_the_counting_formula",)),
+    # the twin rule must group by closed neighbourhood: false twins may
+    # share a color class, so merging them loses colorings
+    Mutant("open-neighbourhood-twins", "classical.py",
+           "closed = a | 1 << v",
+           "closed = a",
+           (PLANTED_TWINS,)),
+    Mutant("every-twin-dropped", "classical.py",
+           "inside &= ~(m & (m - 1))",
+           "inside &= ~m",
+           (PLANTED_TWINS, CHI_CLOSED_FORMS)),
+    Mutant("chromatic-alpha-one-too-small", "classical.py",
+           "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count()",
+           "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count() - 1",
+           (CHI_RANDOM,)),
+    Mutant("chromatic-clique-bound-one-too-large", "classical.py",
+           "lo = max(lo, _greedy_clique_size(adj, rest))",
+           "lo = max(lo, _greedy_clique_size(adj, rest) + 1)",
+           (CHI_RANDOM, CHI_CLOSED_FORMS)),
+    Mutant("bfold-alpha-one-too-small", "classical.py",
+           "cls.bit_count() for cls in _cover_classes(adj, rest))",
+           "cls.bit_count() for cls in _cover_classes(adj, rest)) - 1",
+           (BFOLD_BEYOND,)),
+    Mutant("bfold-clique-bound-one-too-large", "classical.py",
+           "lo = max(lo, clique_demand(demand))",
+           "lo = max(lo, clique_demand(demand) + 1)",
+           (BFOLD_RANDOM, BFOLD_BEYOND)),
+    Mutant("reduce-bfold-unpruned", "coloring.py",
+           "return out.pruned(tol)",
+           "return out",
+           ("tests/test_certificate_properties.py::"
+            "test_reduce_bfold_passes_one_fold_lower_on_fewer_colors",
+            "tests/test_coloring.py::test_reduce_bfold_drops_a_color")),
 ]
 
 

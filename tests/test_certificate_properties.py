@@ -1,5 +1,5 @@
-"""Properties of the certificate verifiers over generated graphs on at most
-7 vertices at folds 1 to 3.
+"""Properties of the certificate verifiers and of reduce_bfold over
+generated graphs on at most 7 vertices at folds 1 to 3.
 
 The local certificate of ``bfold_exact``'s witness must pass and match the
 per-pair oracle, and relabeling graph and certificate by a seeded unitary
@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quantumgraphs as qg
 from quantumgraphs.classical import ClassicalGraph, bfold_exact
-from quantumgraphs.coloring import ColoringCertificate, verify_bfold, verify_coloring
+from quantumgraphs.coloring import (
+    ColoringCertificate, reduce_bfold, verify_bfold, verify_coloring)
 from test_verify_oracle import assert_same_report, oracle_verify_bfold
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -72,3 +73,15 @@ def test_local_certificates_pass_match_the_oracle_and_relabel(g, fold, seed):
         for c in (cert, flipped(cert)):
             assert_covariant(verify, graph, c, u)
     assert not verify_bfold(graph, flipped(cert)).passed
+
+
+@FIXED
+@given(graphs(), st.integers(2, 3))
+def test_reduce_bfold_passes_one_fold_lower_on_fewer_colors(g, fold):
+    _, witness = bfold_exact(g, fold)
+    graph = qg.from_classical(g)
+    cert = qg.to_local_cert(g, witness)
+    reduced, kept = reduce_bfold(graph, cert)
+    assert reduced.fold == fold - 1
+    assert reduced.colors < cert.colors and len(kept) == reduced.colors
+    assert verify_bfold(graph, reduced).passed

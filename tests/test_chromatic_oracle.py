@@ -80,6 +80,32 @@ def test_chromatic_matches_oracle_on_random_graphs(p, search_alone):
             assert chromatic_exact(g) == inclusion_exclusion_chromatic(g)
 
 
+def with_twins(g, copies, closed, seed):
+    """g with ``copies`` more vertices, each a copy of a random earlier
+    vertex u: a true twin (adjacent to u, same closed neighbourhood) when
+    ``closed``, else a false twin (same open neighbourhood, not adjacent),
+    then relabeled so that no twin is the lowest of its group by
+    construction."""
+    rng = random.Random(seed)
+    n, edges = g.vertex_count, set(g.edges)
+    for w in range(n, n + copies):
+        u = rng.randrange(w)
+        edges |= {(x, w) for x in range(w) if (min(u, x), max(u, x)) in edges}
+        if closed:
+            edges.add((u, w))
+    return relabeled(qg.ClassicalGraph(n + copies, edges), seed)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["true-twins", "false-twins"])
+@pytest.mark.parametrize("p", [0.2, 0.4, 0.6])
+def test_chromatic_matches_oracle_with_planted_twins(p, closed, search_alone):
+    for n, copies in ((6, 6), (8, 5), (10, 4), (12, 4)):
+        for seed in range(4):
+            g = with_twins(qg.random_graph(n, p, 7919 * seed + n), copies, closed,
+                           31 * seed + copies)
+            assert chromatic_exact(g) == inclusion_exclusion_chromatic(g), (n, seed)
+
+
 FACTORS = {"K2": qg.complete(2), "K3": qg.complete(3), "P2": qg.path(2),
            "P3": qg.path(3), "P4": qg.path(4), "C4": qg.cycle(4),
            "C5": qg.cycle(5), "C7": qg.cycle(7)}
