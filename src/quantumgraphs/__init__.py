@@ -26,8 +26,7 @@ from .coloring import (ColoringCertificate, HomomorphismCertificate,
 from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_norm, is_projection,
                       orthonormalize, permute_systems, projection_meet)
 from .products import (LEXICOGRAPHIC_NOTE, PRODUCT_KINDS, cartesian,
-                       categorical, classical_crosscheck, lexicographic,
-                       product, strong)
+                       categorical, classical_crosscheck, product)
 from .qgraph import (BlockAlgebra, QuantumGraph, complete_quantum_graph,
                      conjugate_graph, from_classical, is_subgraph,
                      verify_quantum_graph)

@@ -136,17 +136,15 @@ def kneser(c: int, b: int) -> ClassicalGraph:
     c, b = int(c), int(b)
     if b < 1 or c < b:
         raise ValueError("need c >= b >= 1")
-    if comb(c, b) > _KNESER_VERTEX_LIMIT:
-        raise SizeGuardError("Kneser graph K(%d, %d) has %d vertices (limit %d)"
-                             % (c, b, comb(c, b), _KNESER_VERTEX_LIMIT))
-    subsets = list(combinations(range(c), b))
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for i, s in enumerate(subsets):
-        ss = set(s)
-        for j in range(i + 1, len(subsets)):
-            if not ss & set(subsets[j]):
-                edges.append((i, index[subsets[j]]))
+    # for b < c there are at least c vertices, and comb is slow on a huge c
+    at_least = b < c and c > _KNESER_VERTEX_LIMIT
+    count = c if at_least else comb(c, b)
+    if count > _KNESER_VERTEX_LIMIT:
+        raise SizeGuardError("Kneser graph K(%d, %d) has %s%d vertices (limit %d)"
+                             % (c, b, "at least " * at_least, count, _KNESER_VERTEX_LIMIT))
+    subsets = [set(s) for s in combinations(range(c), b)]
+    edges = [(i, j) for i, s in enumerate(subsets)
+             for j in range(i + 1, len(subsets)) if not s & subsets[j]]
     return ClassicalGraph(len(subsets), edges)
 
 

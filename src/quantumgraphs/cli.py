@@ -37,6 +37,13 @@ def _cmd_verify_graph(args) -> int:
     return _print_report(verify_quantum_graph(g, args.tol))
 
 
+def _write(path, to_obj, value) -> None:
+    """The -o option: write ``to_obj(value)`` to ``path`` if one was given."""
+    if path:
+        serialize.save(path, to_obj(value))
+        print("wrote %s" % path)
+
+
 def _cmd_product(args) -> int:
     if args.classical:
         g = serialize.load_classical_graph(args.left)
@@ -49,9 +56,7 @@ def _cmd_product(args) -> int:
     print("%s product: dim %d, dim S = %d" % (args.kind, prod.n, prod.S.dim))
     if args.kind == "lexicographic":
         print("note: " + products.LEXICOGRAPHIC_NOTE)
-    if args.out:
-        serialize.save(args.out, serialize.quantum_graph_to_obj(prod))
-        print("wrote %s" % args.out)
+    _write(args.out, serialize.quantum_graph_to_obj, prod)
     code = _print_report(verify_quantum_graph(prod, args.tol))
     if args.classical:
         rep = products.classical_crosscheck(g, h, args.kind, args.tol, prod)
@@ -64,97 +69,105 @@ def _cmd_color_verify(args) -> int:
     cert = serialize.load_certificate(args.certificate)
     print("certificate: %d colors, fold %d, ancilla dim %d, type %s"
           % (cert.colors, cert.fold, cert.ancilla_dim, cert.strategy_type))
-    if args.bfold:
-        rep = coloring.verify_bfold(g, cert, args.tol)
-    else:
-        rep = coloring.verify_coloring(g, cert, args.tol)
-    return _print_report(rep)
+    verify = coloring.verify_bfold if args.bfold else coloring.verify_coloring
+    return _print_report(verify(g, cert, args.tol))
 
 
-def _write_cert(path, cert) -> None:
-    serialize.save(path, serialize.certificate_to_obj(cert))
-    print("wrote %s" % path)
+# A ``color transform`` builder returns the certificate it built, with the
+# graph it colors and the verifier _cmd_transform checks it with there.
+
+def _build_reduce(args):
+    g = serialize.load_any_graph(args.graph)
+    cert = serialize.load_certificate(args.certificate)
+    out, mapping = coloring.reduce_bfold(g, cert, args.tol)
+    print("reduced to fold %d with %d colors; kept original colors %s"
+          % (out.fold, out.colors, mapping))
+    return g, out, coloring.verify_bfold
+
+
+def _build_combine(args):
+    g = serialize.load_any_graph(args.graph)
+    c1 = serialize.load_certificate(args.certificate)
+    c2 = serialize.load_certificate(args.second)
+    out = coloring.combine_bfold(g, c1, c2, args.tol)
+    print("combined: fold %d, %d colors" % (out.fold, out.colors))
+    return g, out, coloring.verify_bfold
+
+
+def _build_scale(args):
+    g = serialize.load_any_graph(args.graph)
+    cert = serialize.load_certificate(args.certificate)
+    out = coloring.scale_bfold(g, cert, args.fold, args.tol)
+    print("scaled: fold %d, %d colors" % (out.fold, out.colors))
+    return g, out, coloring.verify_bfold
+
+
+def _build_lex(args):
+    out = coloring.lexicographic_coloring(
+        serialize.load_certificate(args.certificate),
+        serialize.load_certificate(args.second))
+    gq = serialize.load_any_graph(args.graph_g)
+    hq = serialize.load_any_graph(args.graph_h)
+    print("note: " + products.LEXICOGRAPHIC_NOTE)
+    return products.product(gq, hq, "lexicographic"), out, coloring.verify_coloring
+
+
+def _build_strong_lift(args):
+    out = coloring.strong_coloring(
+        serialize.load_certificate(args.certificate),
+        serialize.load_certificate(args.second))
+    gq = serialize.load_any_graph(args.graph_g)
+    hq = serialize.load_any_graph(args.graph_h)
+    return products.product(gq, hq, "strong"), out, coloring.verify_coloring
+
+
+def _build_cat_lift(args):
+    cert = serialize.load_certificate(args.certificate)
+    gq = serialize.load_any_graph(args.graph_g)
+    hq = serialize.load_any_graph(args.graph_h)
+    out = coloring.categorical_lift(cert, hq.n)
+    return products.product(gq, hq, "categorical"), out, coloring.verify_coloring
 
 
 def _cmd_transform(args) -> int:
-    g = serialize.load_any_graph(args.graph) if getattr(args, "graph", None) else None
-    if args.transform == "reduce":
-        cert = serialize.load_certificate(args.certificate)
-        out, mapping = coloring.reduce_bfold(g, cert, args.tol)
-        print("reduced to fold %d with %d colors; kept original colors %s"
-              % (out.fold, out.colors, mapping))
-        rep = coloring.verify_bfold(g, out, args.tol)
-    elif args.transform == "combine":
-        c1 = serialize.load_certificate(args.certificate)
-        c2 = serialize.load_certificate(args.second)
-        out, rep = coloring.combine_bfold(g, c1, c2, args.tol)
-        print("combined: fold %d, %d colors" % (out.fold, out.colors))
-    elif args.transform == "scale":
-        cert = serialize.load_certificate(args.certificate)
-        out, rep = coloring.scale_bfold(g, cert, args.fold, args.tol)
-        print("scaled: fold %d, %d colors" % (out.fold, out.colors))
-    elif args.transform == "lex":
-        cg = serialize.load_certificate(args.certificate)
-        ch = serialize.load_certificate(args.second)
-        out = coloring.lexicographic_coloring(cg, ch)
-        gq = serialize.load_any_graph(args.graph_g)
-        hq = serialize.load_any_graph(args.graph_h)
-        print("note: " + products.LEXICOGRAPHIC_NOTE)
-        rep = coloring.verify_coloring(products.lexicographic(gq, hq), out,
-                                       args.tol)
-    elif args.transform == "strong-lift":
-        cg = serialize.load_certificate(args.certificate)
-        ch = serialize.load_certificate(args.second)
-        out = coloring.strong_coloring(cg, ch)
-        gq = serialize.load_any_graph(args.graph_g)
-        hq = serialize.load_any_graph(args.graph_h)
-        rep = coloring.verify_coloring(products.strong(gq, hq), out, args.tol)
-    elif args.transform == "cat-lift":
-        cg = serialize.load_certificate(args.certificate)
-        gq = serialize.load_any_graph(args.graph_g)
-        hq = serialize.load_any_graph(args.graph_h)
-        out = coloring.categorical_lift(cg, hq.n)
-        rep = coloring.verify_coloring(products.categorical(gq, hq), out,
-                                       args.tol)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown transform %r" % args.transform)
-    if args.out:
-        _write_cert(args.out, out)
+    graph, out, verify = args.build(args)
+    rep = verify(graph, out, args.tol)
+    _write(args.out, serialize.certificate_to_obj, out)
     return _print_report(rep)
 
 
-def _cmd_classical(args) -> int:
-    if args.what == "chi":
-        g = serialize.load_classical_graph(args.graph)
-        print("chromatic number: %d" % classical.chromatic_exact(g))
-        return EXIT_OK
-    if args.what == "chi-b":
-        g = serialize.load_classical_graph(args.graph)
-        value, witness = classical.bfold_exact(g, args.fold)
-        print("%d-fold chromatic number: %d" % (args.fold, value))
-        print("witness: %s" % " ".join(
-            "{%s}" % ",".join(str(c) for c in sorted(s))
-            for s in witness.assignment))
-        return EXIT_OK
-    if args.what == "product":
-        g = serialize.load_classical_graph(args.left)
-        h = serialize.load_classical_graph(args.right)
-        p = classical.classical_product(g, h, args.kind)
-        print("%s product: %d vertices, %d edges"
-              % (args.kind, p.vertex_count, p.edge_count))
-        if args.out:
-            serialize.save(args.out, serialize.graph_to_obj(p))
-            print("wrote %s" % args.out)
-        return EXIT_OK
-    if args.what == "kneser":
-        g = classical.kneser(args.c, args.b)
-        print("Kneser graph K(%d, %d): %d vertices, %d edges"
-              % (args.c, args.b, g.vertex_count, g.edge_count))
-        if args.out:
-            serialize.save(args.out, serialize.graph_to_obj(g))
-            print("wrote %s" % args.out)
-        return EXIT_OK
-    raise ValueError("unknown classical command %r" % args.what)
+def _cmd_chi(args) -> int:
+    g = serialize.load_classical_graph(args.graph)
+    print("chromatic number: %d" % classical.chromatic_exact(g))
+    return EXIT_OK
+
+
+def _cmd_chi_b(args) -> int:
+    g = serialize.load_classical_graph(args.graph)
+    value, witness = classical.bfold_exact(g, args.fold)
+    print("%d-fold chromatic number: %d" % (args.fold, value))
+    print("witness: %s" % " ".join(
+        "{%s}" % ",".join(str(c) for c in sorted(s))
+        for s in witness.assignment))
+    return EXIT_OK
+
+
+def _cmd_classical_product(args) -> int:
+    g = serialize.load_classical_graph(args.left)
+    h = serialize.load_classical_graph(args.right)
+    p = classical.classical_product(g, h, args.kind)
+    print("%s product: %d vertices, %d edges"
+          % (args.kind, p.vertex_count, p.edge_count))
+    _write(args.out, serialize.graph_to_obj, p)
+    return EXIT_OK
+
+
+def _cmd_kneser(args) -> int:
+    g = classical.kneser(args.c, args.b)
+    print("Kneser graph K(%d, %d): %d vertices, %d edges"
+          % (args.c, args.b, g.vertex_count, g.edge_count))
+    _write(args.out, serialize.graph_to_obj, g)
+    return EXIT_OK
 
 
 def _cmd_report_bounds(args) -> int:
@@ -174,9 +187,7 @@ def _cmd_report_bounds(args) -> int:
         print("    %-48s %s (%s)" % (c["name"], "ok" if c["ok"] else "VIOLATED",
                                      c["detail"]))
     print("all checks passed" if rep["all_ok"] else "BOUND VIOLATION")
-    if args.out:
-        serialize.save(args.out, rep)
-        print("wrote %s" % args.out)
+    _write(args.out, dict, rep)
     return EXIT_OK if rep["all_ok"] else EXIT_VERIFY
 
 
@@ -238,80 +249,71 @@ def build_parser() -> argparse.ArgumentParser:
     tr = csub.add_parser("transform", help="constructive certificate transformations")
     tsub = tr.add_subparsers(dest="transform", required=True)
 
+    def transform(p, build, lift=False):
+        """Add a lift's factor graphs, -o, --tol and the handler to ``p``."""
+        if lift:
+            p.add_argument("--graph-g", required=True, dest="graph_g")
+            p.add_argument("--graph-h", required=True, dest="graph_h")
+        p.add_argument("-o", "--out")
+        _add_tol(p)
+        p.set_defaults(func=_cmd_transform, build=build)
+
     p = tsub.add_parser("reduce", help="fold b -> fold b-1, dropping colors")
     p.add_argument("certificate")
     p.add_argument("graph")
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_reduce)
 
     p = tsub.add_parser("combine", help="join two certificates on one graph")
     p.add_argument("certificate")
     p.add_argument("second")
     p.add_argument("graph")
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_combine)
 
     p = tsub.add_parser("scale", help="b disjoint copies of a 1-fold coloring")
     p.add_argument("certificate")
     p.add_argument("graph")
     p.add_argument("-b", "--fold", type=int, required=True)
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_scale)
 
     p = tsub.add_parser("lex", help="compose b-fold of G with b-coloring of H")
     p.add_argument("certificate", help="b-fold certificate for G")
     p.add_argument("second", help="1-fold b-color certificate for H")
-    p.add_argument("--graph-g", required=True, dest="graph_g")
-    p.add_argument("--graph-h", required=True, dest="graph_h")
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_lex, lift=True)
 
     p = tsub.add_parser("strong-lift", help="pair colorings across a strong product")
     p.add_argument("certificate")
     p.add_argument("second")
-    p.add_argument("--graph-g", required=True, dest="graph_g")
-    p.add_argument("--graph-h", required=True, dest="graph_h")
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_strong_lift, lift=True)
 
     p = tsub.add_parser("cat-lift", help="pull a coloring back along a "
                         "categorical factor")
     p.add_argument("certificate")
-    p.add_argument("--graph-g", required=True, dest="graph_g")
-    p.add_argument("--graph-h", required=True, dest="graph_h")
-    p.add_argument("-o", "--out")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_transform)
+    transform(p, _build_cat_lift, lift=True)
 
     cl = sub.add_parser("classical", help="exact classical oracles")
     clsub = cl.add_subparsers(dest="what", required=True)
 
     p = clsub.add_parser("chi", help="exact chromatic number")
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_classical)
+    p.set_defaults(func=_cmd_chi)
 
     p = clsub.add_parser("chi-b", help="exact b-fold chromatic number with witness")
     p.add_argument("graph")
     p.add_argument("-b", "--fold", type=int, required=True)
-    p.set_defaults(func=_cmd_classical)
+    p.set_defaults(func=_cmd_chi_b)
 
     p = clsub.add_parser("product", help="classical graph product")
     p.add_argument("--kind", required=True, choices=classical.PRODUCT_KINDS)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=_cmd_classical)
+    p.set_defaults(func=_cmd_classical_product)
 
     p = clsub.add_parser("kneser", help="Kneser graph K(c, b)")
     p.add_argument("c", type=int)
     p.add_argument("b", type=int)
     p.add_argument("-o", "--out")
-    p.set_defaults(func=_cmd_classical)
+    p.set_defaults(func=_cmd_kneser)
 
     rp = sub.add_parser("report", help="summary reports")
     rsub = rp.add_subparsers(dest="report_command", required=True)

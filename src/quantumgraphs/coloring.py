@@ -8,15 +8,16 @@ local coloring; any finite d > 1 certifies a quantum one. Commuting-operator
 variants admit no finite-dimensional certificate and are out of scope.
 
 A certificate holds its operators as one read-only (count, rows, cols)
-stack, and the constructions build theirs whole. The verifiers report
-rather than raise: no projections, or a combine_bfold/scale_bfold result
-that did not recompose, gives a failing report.
+stack, and the constructions build and return theirs whole, verifying
+none. The verifiers report rather than raise: no projections, or a
+combine_bfold result that did not recompose, gives a failing report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .classical import BFoldAssignment, ClassicalGraph
 from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, adjoint,
                       as_matrix, check_unitary, hs_norm, permute_systems,
                       projection_meet)
-from .qgraph import BlockAlgebra, QuantumGraph
+from .qgraph import BlockAlgebra, QuantumGraph, check_dense_size
 from .report import VerificationFailure, VerificationReport
 
 
@@ -154,8 +155,13 @@ def _commutators(p: np.ndarray) -> np.ndarray:
 def _subset_products(p: np.ndarray, k: int):
     """The k-subsets T of the colors in lexicographic order, as a (m, k)
     index array, and the stack of products Q_T = prod_{a in T} P_a with the
-    factors in ascending order (immaterial once commutation holds)."""
-    subsets = np.array(list(combinations(range(len(p)), k)),
+    factors in ascending order (immaterial once commutation holds), both
+    refused past DENSE_BYTES_LIMIT before anything is enumerated."""
+    c, d = p.shape[:2]
+    m = comb(c, k)
+    check_dense_size(m * (8 * k + 16 * d * d), "the stack of %d %d-subset "
+                     "products (dimension %d)" % (m, k, d))
+    subsets = np.array(list(combinations(range(c), k)),
                        dtype=np.intp).reshape(-1, k)
     q = p[subsets[:, 0]]
     for col in subsets.T[1:]:
@@ -362,9 +368,10 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     The subset PVMs are embedded once each, as stacks with independent
     ancilla legs, and met pairwise: Q_{S union (T+c1)} = (Q1_S tensored
     into legs (g, n1, n2)) meet (Q2_T likewise). The meet need not
-    distribute over the sums that rebuild the P_a, so the result is
-    verified and returned as (certificate, report); a construction that did
-    not recompose comes back with a failing report rather than an exception.
+    distribute over the sums that rebuild the P_a, so the certificate
+    returned can fail verify_bfold: two copies of an entangled certificate
+    cannot share one graph system. The embedded stacks and their meets are
+    guarded by DENSE_BYTES_LIMIT.
     """
     if cert1.graph_dim != graph.n or cert2.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
@@ -373,29 +380,31 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     n = graph.n
     d1, d2 = cert1.ancilla_dim, cert2.ancilla_dim
     c1 = cert1.colors
+    dim, m = n * d1 * d2, len(q1) + len(q2) + len(q1) * len(q2)
+    check_dense_size(16 * m * dim * dim, "the stack of %d embedded subset "
+                     "products and meets (dimension %d)" % (m, dim))
     a = np.kron(q1, np.eye(d2))
     b = permute_systems(np.kron(q2, np.eye(d1)), [n, d2, d1], [0, 2, 1])
     family = [(s + [x + c1 for x in t], projection_meet(a_s, b_t, tol))
               for s, a_s in zip(s1.tolist(), a) for t, b_t in zip(s2.tolist(), b)]
-    cert = bfold_from_pvm(family, c1 + cert2.colors, cert1.fold + cert2.fold,
+    return bfold_from_pvm(family, c1 + cert2.colors, cert1.fold + cert2.fold,
                           n, d1 * d2)
-    return cert, verify_bfold(graph, cert, tol)
 
 
 def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
-                tol: float = DEFAULT_TOL):
+                tol: float = DEFAULT_TOL) -> ColoringCertificate:
     """b palette-disjoint copies of a 1-fold coloring, joined into a b-fold
-    one. Returns (certificate, report) like combine_bfold."""
+    one by b - 1 combine_bfold calls."""
     if cert.fold != 1:
         raise ValueError("scale_bfold expects a 1-fold certificate")
     if b < 1:
         raise ValueError("fold must be >= 1")
-    if b == 1:
-        return cert, verify_bfold(graph, cert, tol)
-    out, rep = combine_bfold(graph, cert, cert, tol)
-    for _ in range(b - 2):
-        out, rep = combine_bfold(graph, out, cert, tol)
-    return out, rep
+    if cert.graph_dim != graph.n:
+        raise ValueError("certificates do not live on the given graph")
+    out = cert
+    for _ in range(b - 1):
+        out = combine_bfold(graph, out, cert, tol)
+    return out
 
 
 def lexicographic_coloring(certG: ColoringCertificate,

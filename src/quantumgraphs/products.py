@@ -83,16 +83,6 @@ def categorical(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
     return product(g, h, "categorical")
 
 
-def lexicographic(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
-    """S = S_G (x) B(H_H) + M_G' (x) S_H. Not symmetric in its factors."""
-    return product(g, h, "lexicographic")
-
-
-def strong(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
-    """S = S_G (x) M_H' + M_G' (x) S_H + S_G (x) S_H."""
-    return product(g, h, "strong")
-
-
 def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
                          tol: float = DEFAULT_TOL,
                          quantum: QuantumGraph | None = None) -> VerificationReport:

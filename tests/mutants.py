@@ -37,6 +37,8 @@ CHI_RANDOM = "tests/test_chromatic_oracle.py::test_chromatic_matches_oracle_on_r
 CHI_CLOSED_FORMS = "tests/test_chromatic_oracle.py::test_product_closed_forms_under_relabeling"
 BFOLD_RANDOM = "tests/test_bfold_oracle.py::test_bfold_matches_lexicographic_oracle_on_random_graphs"
 BFOLD_BEYOND = "tests/test_bfold_oracle.py::test_bfold_on_petersen_and_odd_cycles_beyond_the_oracle"
+TRANSFORM_REPORT = "tests/test_cli.py::test_transform_prints_the_report_of_its_written_certificate"
+GUARDED = "tests/test_cli.py::test_enumerations_past_the_guard_are_exit_three"
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,41 @@ MUTANTS = [
            ("tests/test_certificate_properties.py::"
             "test_reduce_bfold_passes_one_fold_lower_on_fewer_colors",
             "tests/test_coloring.py::test_reduce_bfold_drops_a_color")),
+    Mutant("scale-bfold-one-copy-short", "coloring.py",
+           "for _ in range(b - 1):",
+           "for _ in range(b - 2):",
+           ("tests/test_coloring.py::test_scale_bfold_stacks_disjoint_palettes",
+            TRANSFORM_REPORT + "[scale]")),
+    # every transform's report must be of the certificate it built
+    Mutant("transform-verifies-its-input", "cli.py",
+           "rep = verify(graph, out, args.tol)",
+           "rep = verify(graph, serialize.load_certificate(args.certificate), args.tol)",
+           (TRANSFORM_REPORT,)),
+    # the three guards below are tested in a child process capped at 1.5 GB,
+    # so without them the child fails with a MemoryError or a timeout
+    Mutant("subset-products-unguarded", "coloring.py",
+           "check_dense_size(m * (8 * k + 16 * d * d),",
+           "check_dense_size(0,",
+           (GUARDED + "[subsets]",)),
+    Mutant("combine-stacks-unguarded", "coloring.py",
+           "check_dense_size(16 * m * dim * dim,",
+           "check_dense_size(0,",
+           (GUARDED + "[combine]",)),
+    Mutant("kneser-count-before-the-vertex-bound", "classical.py",
+           "at_least = b < c and c > _KNESER_VERTEX_LIMIT",
+           "at_least = False",
+           (GUARDED + "[kneser]",)),
+    Mutant("conjugate-graph-without-conj", "qgraph.py",
+           "u.conj().T @ graph.S.basis @ u",
+           "u.T @ graph.S.basis @ u",
+           ("tests/test_qgraph.py::test_conjugate_graph_preserves_axioms",
+            "tests/test_coloring.py::test_unitary_invariance_of_bfold_certificates")),
+    # a zero product met with a NaN edge operator gives NaN, not zero
+    Mutant("live-subsets-without-finiteness-guard", "coloring.py",
+           "if np.isfinite(q).all() and np.isfinite(edge_ops).all():",
+           "if True:",
+           ("tests/test_verify_oracle.py::"
+            "test_nonfinite_subset_products_meet_their_zero_partners",)),
 ]
 
 

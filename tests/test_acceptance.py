@@ -128,20 +128,19 @@ def test_criterion_07_constructive_transformations(c5_two_fold):
     k3 = qg.complete(3)
     k3_cert = qg.to_local_cert(k3, qg.bfold_exact(k3, 1)[1])
     k3q = qg.from_classical(k3)
-    scaled, rep = qg.scale_bfold(k3q, k3_cert, 2, tol)
-    track(rep)
+    scaled = qg.scale_bfold(k3q, k3_cert, 2, tol)
     track(qg.verify_bfold(k3q, scaled, tol))
 
     k2 = qg.complete(2)
     k2_cert = qg.to_local_cert(k2, qg.bfold_exact(k2, 1)[1])
     k2q = qg.from_classical(k2)
     lex_cert = qg.lexicographic_coloring(c5_two_fold, k2_cert)
-    track(qg.verify_coloring(qg.lexicographic(c5q, k2q), lex_cert, tol))
+    track(qg.verify_coloring(qg.product(c5q, k2q, "lexicographic"), lex_cert, tol))
     ok &= len(lex_cert.active_colors()) == 5  # exactly chi_2(C5) colors
 
     c5_cert = qg.to_local_cert(qg.cycle(5), qg.bfold_exact(qg.cycle(5), 1)[1])
     strong_cert = qg.strong_coloring(c5_cert, k2_cert)
-    track(qg.verify_coloring(qg.strong(c5q, k2q), strong_cert, tol))
+    track(qg.verify_coloring(qg.product(c5q, k2q, "strong"), strong_cert, tol))
 
     lifted = qg.categorical_lift(c5_cert, 2)
     track(qg.verify_coloring(qg.categorical(c5q, k2q), lifted, tol))

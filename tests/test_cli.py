@@ -231,6 +231,52 @@ def test_transform_combine_failure_is_exit_one(files, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _local_coloring(files, name, g):
+    path = files["dir"] / ("%s_coloring.json" % name)
+    ser.save(str(path), ser.certificate_to_obj(
+        qg.to_local_cert(g, qg.bfold_exact(g, 1)[1])))
+    return str(path)
+
+
+@pytest.mark.parametrize("transform", ["reduce", "combine", "scale", "lex",
+                                       "strong-lift", "cat-lift"])
+def test_transform_prints_the_report_of_its_written_certificate(files, capsys, transform):
+    """Each transform prints its summary line, if it has one, then the
+    verifier's report on the certificate it wrote: verify_bfold on the
+    graph for the fold transforms, verify_coloring on the product for the
+    lifts."""
+    c5q = qg.from_classical(qg.cycle(5))
+    k3q = qg.from_classical(qg.complete(3))
+    k2q = qg.from_classical(qg.complete(2))
+    c5_1 = _local_coloring(files, "c5", qg.cycle(5))
+    k3_1 = _local_coloring(files, "k3", qg.complete(3))
+    k2_1 = _local_coloring(files, "k2", qg.complete(2))
+    lifts = ["--graph-g", files["k3"], "--graph-h", files["k2"]]
+    argv, graph, verifier, head = {
+        "reduce": (["reduce", files["c5_fold2"], files["c5"]], c5q, qg.verify_bfold,
+                   "reduced to fold 1 with %d colors; kept original colors %s\n"),
+        "combine": (["combine", c5_1, files["c5_fold2"], files["c5"]], c5q,
+                    qg.verify_bfold, "combined: fold 3, 8 colors\n"),
+        "scale": (["scale", k3_1, files["k3"], "-b", "2"], k3q, qg.verify_bfold,
+                  "scaled: fold 2, 6 colors\n"),
+        "lex": (["lex", files["c5_fold2"], k2_1, "--graph-g", files["c5"],
+                 "--graph-h", files["k2"]], qg.product(c5q, k2q, "lexicographic"),
+                qg.verify_coloring, "note: %s\n" % LEXICOGRAPHIC_NOTE),
+        "strong-lift": (["strong-lift", k3_1, k2_1] + lifts,
+                        qg.product(k3q, k2q, "strong"), qg.verify_coloring, ""),
+        "cat-lift": (["cat-lift", k3_1] + lifts, qg.product(k3q, k2q, "categorical"),
+                     qg.verify_coloring, ""),
+    }[transform]
+    if transform == "reduce":
+        reduced, kept = qg.reduce_bfold(c5q, ser.load_certificate(files["c5_fold2"]))
+        head %= (reduced.colors, kept)
+    out = files["dir"] / "transformed.json"
+    code = main(["color", "transform"] + argv + ["-o", str(out)])
+    rep = verifier(graph, ser.load_certificate(str(out)))
+    assert rep.passed and code == EXIT_OK
+    assert capsys.readouterr().out == "%swrote %s\n%s\n" % (head, out, rep)
+
+
 def test_classical_chi(files, capsys):
     assert main(["classical", "chi", files["c5"]]) == EXIT_OK
     assert "chromatic number: 3" in capsys.readouterr().out
@@ -356,22 +402,52 @@ def test_console_script_is_wired():
     assert "qgraph" in proc.stdout
 
 
+def _capped_cli(*argv, timeout=120):
+    """Run the CLI in a child capped at 1.5 GB of address space, so a guard
+    that regresses fails fast instead of exhausting the machine's memory."""
+    cap = 1536 << 20
+    return subprocess.run(
+        [sys.executable, "-m", "quantumgraphs.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
 @pytest.mark.parametrize("name, text", [
     ("huge.col", "p edge 100000000 0\n"),
     ("huge.json", json.dumps({"kind": "classical_graph", "v": 1,
                               "vertices": 100000000, "edges": []}))],
     ids=["dimacs", "json"])
 def test_huge_vertex_count_is_exit_three(tmp_path, name, text):
-    """The vertex limit refuses the graph before any per-vertex work. The
-    run is capped at 1.5 GB of address space, so a regression fails fast
-    instead of exhausting the machine's memory."""
+    """The vertex limit refuses the graph before any per-vertex work."""
     path = tmp_path / name
     path.write_text(text)
-    cap = 1536 << 20
-    proc = subprocess.run(
-        [sys.executable, "-m", "quantumgraphs.cli", "classical", "chi", str(path)],
-        capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    proc = _capped_cli("classical", "chi", str(path))
+    assert proc.returncode == EXIT_SIZE, proc.stderr[-500:]
+    assert proc.stderr.startswith("size guard:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["subsets", "combine", "kneser"])
+def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
+    """Refused before anything is enumerated or allocated:
+    - the C(30, 15) subset products of a 4 KB fold-15 certificate, 20 GiB
+    - combine's embedding of two ancilla-128 certificates into dimension
+      16384, 4 GiB a matrix
+    - K(2000000, 1000000), whose vertex count math.comb computes for longer
+      than the 20-s timeout"""
+    graph = tmp_path / "one.col"
+    graph.write_text("p edge 1 0\n")
+    cert = tmp_path / "cert.json"
+    if case == "subsets":
+        ser.save(str(cert), ser.certificate_to_obj(
+            qg.ColoringCertificate(1, 1, 15, np.zeros((30, 1, 1)))))
+        argv = ["color", "verify", "--bfold", str(graph), str(cert)]
+    elif case == "combine":
+        ser.save(str(cert), ser.certificate_to_obj(
+            qg.ColoringCertificate(1, 128, 1, np.eye(128)[None])))
+        argv = ["color", "transform", "combine", str(cert), str(cert), str(graph)]
+    else:
+        argv = ["classical", "kneser", "2000000", "1000000"]
+    proc = _capped_cli(*argv, timeout=20)
     assert proc.returncode == EXIT_SIZE, proc.stderr[-500:]
     assert proc.stderr.startswith("size guard:") and "Traceback" not in proc.stderr
 

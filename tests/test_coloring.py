@@ -182,21 +182,21 @@ def test_reduce_bfold_verifies_its_input():
 
 def test_scale_bfold_stacks_disjoint_palettes():
     g = qg.from_classical(qg.complete(3))
-    scaled, rep = scale_bfold(g, k_n_coloring(3), 2)
-    ok(rep)
+    scaled = scale_bfold(g, k_n_coloring(3), 2)
     assert scaled.fold == 2 and scaled.colors == 6
     ok(verify_bfold(g, scaled))
-    same, rep1 = scale_bfold(g, k_n_coloring(3), 1)
-    ok(rep1)
+    same = scale_bfold(g, k_n_coloring(3), 1)
     assert same.colors == 3
+    ok(verify_bfold(g, same))
+    with pytest.raises(ValueError, match="do not live on the given graph"):
+        scale_bfold(qg.from_classical(qg.cycle(5)), k_n_coloring(3), 1)
 
 
 def test_combine_bfold_on_disjoint_palettes(c5_two_fold):
     g = qg.from_classical(qg.cycle(5))
     _, w = qg.bfold_exact(qg.cycle(5), 1)
     three = qg.to_local_cert(qg.cycle(5), w)
-    combined, rep = combine_bfold(g, c5_two_fold, three)
-    ok(rep)
+    combined = combine_bfold(g, c5_two_fold, three)
     assert combined.fold == 3
     assert combined.graph_dim == 5
     ok(verify_bfold(g, combined))
@@ -206,7 +206,8 @@ def test_combine_bfold_can_fail_legitimately(bell2):
     # two copies of a maximally entangled coloring cannot share the graph
     # system, so the meet loses the partition property
     g = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
-    cert, rep = combine_bfold(g, bell2, bell2)
+    cert = combine_bfold(g, bell2, bell2)
+    rep = verify_bfold(g, cert)
     assert not rep.passed
     assert "partition_of_identity" in [c.name for c in rep.failures()]
     assert cert.fold == 2
@@ -215,8 +216,8 @@ def test_combine_bfold_can_fail_legitimately(bell2):
 def test_lexicographic_coloring_composes(c5_two_fold):
     ch = k_n_coloring(2)  # colors match the outer fold
     cert = lexicographic_coloring(c5_two_fold, ch)
-    target = qg.lexicographic(qg.from_classical(qg.cycle(5)),
-                              qg.from_classical(qg.complete(2)))
+    target = qg.product(qg.from_classical(qg.cycle(5)),
+                        qg.from_classical(qg.complete(2)), "lexicographic")
     ok(verify_coloring(target, cert))
     assert len(cert.active_colors()) == 5
     pruned, kept = cert.pruned()
@@ -236,7 +237,7 @@ def test_strong_coloring_pairs_palettes():
     assert cert.colors == 6
     g3 = qg.from_classical(qg.complete(3))
     g2 = qg.from_classical(qg.complete(2))
-    ok(verify_coloring(qg.strong(g3, g2), cert))
+    ok(verify_coloring(qg.product(g3, g2, "strong"), cert))
     # the cartesian product is a subgraph, so the same certificate colors it
     ok(verify_coloring(qg.cartesian(g3, g2), cert))
 

@@ -251,8 +251,8 @@ def _scaled_c5():
     g = qg.cycle(5)
     _, witness = qg.bfold_exact(g, 1)
     graph = qg.from_classical(g)
-    cert, rep = qg.scale_bfold(graph, qg.to_local_cert(g, witness), 3)
-    assert rep.passed and cert.colors == 9
+    cert = qg.scale_bfold(graph, qg.to_local_cert(g, witness), 3)
+    assert cert.colors == 9
     return graph, cert
 
 
@@ -295,7 +295,8 @@ def test_pairwise_checks_visit_only_the_nonzero_subsets(monkeypatch):
 
 def test_failing_bell_combination_matches_the_oracle(bell2):
     graph = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
-    cert, rep = qg.combine_bfold(graph, bell2, bell2)
+    cert = qg.combine_bfold(graph, bell2, bell2)
+    rep = verify_bfold(graph, cert)
     assert not rep.passed
     assert_same_report(rep, oracle_verify_bfold(graph, cert))
 
