@@ -164,6 +164,7 @@ def random_graph(n: int, p: float, seed: int) -> ClassicalGraph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    n = _checked_vertex_count(n)
     state = int(seed) & _MASK64
     edges = []
     for u in range(n):
@@ -356,7 +357,8 @@ def max_independent_set(g: ClassicalGraph) -> frozenset:
 
 
 def clique_number(g: ClassicalGraph) -> int:
-    return len(max_independent_set(g.complement()))
+    full = (1 << g.vertex_count) - 1
+    return _max_independent_mask(_complement_masks(_adjacency_masks(g)), full).bit_count()
 
 
 def _dsatur_greedy(g: ClassicalGraph) -> list:

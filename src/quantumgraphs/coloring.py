@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .classical import BFoldAssignment, ClassicalGraph
-from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, adjoint,
-                      as_matrix, check_unitary, hs_norm, permute_systems,
-                      projection_meet)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms,
+                      _projection_residual, _worst, adjoint, as_matrix,
+                      check_unitary, hs_norm, permute_systems, projection_meet)
 from .qgraph import BlockAlgebra, QuantumGraph, check_dense_size
 from .report import VerificationFailure, VerificationReport
 
@@ -118,6 +118,20 @@ def _frozen(mats, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
+def _lift(a: np.ndarray, b: np.ndarray, a_legs: tuple, b_legs: tuple) -> np.ndarray:
+    """A_i (x) B_j over the stacks a on legs (graph_a, anc_a) and b on legs
+    (graph_b, anc_b), paired by broadcasting their leading axes, with the
+    legs in a certificate's product order (graph_a, graph_b, anc_a, anc_b).
+    The output is refused past DENSE_BYTES_LIMIT before it is formed."""
+    (ga, na), (gb, nb) = a_legs, b_legs
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    d = ga * na * gb * nb
+    check_dense_size(16 * prod(lead) * d * d,
+                     "the lifted stack of shape %r" % (lead + (d, d),))
+    x = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return permute_systems(x.reshape(lead + (d, d)), [ga, na, gb, nb], [0, 2, 1, 3])
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -125,20 +139,9 @@ def _membership_space(m: BlockAlgebra, ancilla_dim: int) -> OperatorSubspace:
     return m.tensor(BlockAlgebra.full(ancilla_dim)).basis()
 
 
-def _edge_with_ancilla(graph: QuantumGraph, ancilla_dim: int) -> np.ndarray:
-    """The edge basis X_k (x) I_ancilla as a (dim S, d, d) stack."""
-    return np.kron(graph.S.basis, np.eye(ancilla_dim))
-
-
-def _worst(x: np.ndarray) -> float:
-    """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN."""
-    return float(np.max(_hs_norms(x), initial=0.0))
-
-
-def _projection_residual(stack: np.ndarray) -> float:
-    """max over the stack of ||P^2 - P|| and ||P - P*||."""
-    return float(np.maximum(_worst(stack @ stack - stack),
-                            _worst(stack - adjoint(stack))))
+def _with_ancilla(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
+    """X (x) I_ancilla for each X of a (k, n, n) stack."""
+    return _lift(stack, np.eye(ancilla_dim), (stack.shape[-1], 1), (1, ancilla_dim))
 
 
 def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
@@ -203,7 +206,7 @@ def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
     rep.add("sum_to_identity",
             hs_norm(p.sum(axis=0) - np.eye(cert.total_dim)), tol)
     rep.add("coloring_condition",
-            _sandwich_residual(p, _edge_with_ancilla(graph, cert.ancilla_dim)),
+            _sandwich_residual(p, _with_ancilla(graph.S.basis, cert.ancilla_dim)),
             tol)
     return rep
 
@@ -238,7 +241,7 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     rep.add("partition_of_identity",
             hs_norm(q.sum(axis=0) - np.eye(cert.total_dim)), tol)
 
-    edge_ops = _edge_with_ancilla(graph, cert.ancilla_dim)
+    edge_ops = _with_ancilla(graph.S.basis, cert.ancilla_dim)
     rep.add("coloring_condition", _sandwich_residual(p, edge_ops), tol)
 
     if len(subsets):
@@ -276,13 +279,13 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
 
     # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
     left, right = fs[:, None, None], fs_adj[None, :, None]
-    edge_ops = _edge_with_ancilla(source, cert.ancilla_dim)
+    edge_ops = _with_ancilla(source.S.basis, cert.ancilla_dim)
     rep.add("edge_space_mapped",
             target.S.max_residual(left @ edge_ops @ right), tol)
 
     src_comm = source.M.commutant().basis()
     dst_comm = target.M.commutant().basis()
-    yi = np.kron(src_comm.basis, np.eye(cert.ancilla_dim))
+    yi = _with_ancilla(src_comm.basis, cert.ancilla_dim)
     rep.add("commutant_mapped", dst_comm.max_residual(left @ yi @ right), tol)
     return rep
 
@@ -366,12 +369,12 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     (b1+b2)-fold coloring on the disjoint union of the palettes.
 
     The subset PVMs are embedded once each, as stacks with independent
-    ancilla legs, and met pairwise: Q_{S union (T+c1)} = (Q1_S tensored
-    into legs (g, n1, n2)) meet (Q2_T likewise). The meet need not
-    distribute over the sums that rebuild the P_a, so the certificate
-    returned can fail verify_bfold: two copies of an entangled certificate
-    cannot share one graph system. The embedded stacks and their meets are
-    guarded by DENSE_BYTES_LIMIT.
+    ancilla legs, and met pairwise in one call: Q_{S union (T+c1)} = (Q1_S
+    tensored into legs (g, n1, n2)) meet (Q2_T likewise), added into its
+    colors. The meet need not distribute over the sums that rebuild the
+    P_a, so the certificate returned can fail verify_bfold: two copies of
+    an entangled certificate cannot share one graph system. The embedded
+    stacks, their meets and the colors are guarded by DENSE_BYTES_LIMIT.
     """
     if cert1.graph_dim != graph.n or cert2.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
@@ -379,16 +382,17 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     s2, q2 = _subset_pvm(cert2, tol)
     n = graph.n
     d1, d2 = cert1.ancilla_dim, cert2.ancilla_dim
-    c1 = cert1.colors
-    dim, m = n * d1 * d2, len(q1) + len(q2) + len(q1) * len(q2)
+    c1, colors = cert1.colors, cert1.colors + cert2.colors
+    dim, m = n * d1 * d2, len(q1) + len(q2) + len(q1) * len(q2) + colors
     check_dense_size(16 * m * dim * dim, "the stack of %d embedded subset "
-                     "products and meets (dimension %d)" % (m, dim))
-    a = np.kron(q1, np.eye(d2))
-    b = permute_systems(np.kron(q2, np.eye(d1)), [n, d2, d1], [0, 2, 1])
-    family = [(s + [x + c1 for x in t], projection_meet(a_s, b_t, tol))
-              for s, a_s in zip(s1.tolist(), a) for t, b_t in zip(s2.tolist(), b)]
-    return bfold_from_pvm(family, c1 + cert2.colors, cert1.fold + cert2.fold,
-                          n, d1 * d2)
+                     "products, meets and colors (dimension %d)" % (m, dim))
+    meets = projection_meet(_with_ancilla(q1, d2)[:, None],
+                            _lift(np.eye(d1), q2, (1, d1), (n, d2))[None], tol)
+    subsets = np.hstack([np.repeat(s1, len(s2), axis=0),
+                         np.tile(s2 + c1, (len(s1), 1))])
+    projs = np.zeros((colors, dim, dim), dtype=np.complex128)
+    np.add.at(projs, subsets, meets.reshape(len(subsets), 1, dim, dim))
+    return ColoringCertificate(n, d1 * d2, cert1.fold + cert2.fold, projs)
 
 
 def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
@@ -416,8 +420,8 @@ def lexicographic_coloring(certG: ColoringCertificate,
     rank_T(a) (the 1-based position of the color a in the ascending order
     of T): P_a = sum_{T contains a} Q_T (x) P^H_{rank_T(a)}, with legs
     arranged as (G, H, ancilla_G, ancilla_H). All the products are formed
-    as one stack and summed into the colors subset by subset. The color
-    count equals certG.colors.
+    as one stack by _lift and summed into the colors subset by subset. The
+    color count equals certG.colors, and the colors have their own guard.
     """
     b = certG.fold
     if certH.fold != 1:
@@ -430,9 +434,10 @@ def lexicographic_coloring(certG: ColoringCertificate,
     mh, dh = certH.graph_dim, certH.ancilla_dim
     # blocks[s, r] = Q_T (x) P^H_r for the s-th subset T, whose r-th color
     # in ascending order is subsets[s, r]
-    blocks = permute_systems(np.kron(q[:, None], certH.projections[None]),
-                             [mg, dg, mh, dh], [0, 2, 1, 3])
-    projs = np.zeros((certG.colors,) + blocks.shape[2:], dtype=np.complex128)
+    blocks = _lift(q[:, None], certH.projections[None], (mg, dg), (mh, dh))
+    shape = (certG.colors,) + blocks.shape[2:]
+    check_dense_size(16 * prod(shape), "the lexicographic colors of shape %r" % (shape,))
+    projs = np.zeros(shape, dtype=np.complex128)
     np.add.at(projs, subsets, blocks)
     return ColoringCertificate(mg * mh, dg * dh, 1, projs)
 
@@ -450,8 +455,8 @@ def strong_coloring(certG: ColoringCertificate,
     mg, dg = certG.graph_dim, certG.ancilla_dim
     mh, dh = certH.graph_dim, certH.ancilla_dim
     d = mg * mh * dg * dh
-    pairs = np.kron(certG.projections[:, None], certH.projections[None])
-    projs = permute_systems(pairs, [mg, dg, mh, dh], [0, 2, 1, 3])
+    projs = _lift(certG.projections[:, None], certH.projections[None],
+                  (mg, dg), (mh, dh))
     return ColoringCertificate(mg * mh, dg * dh, 1, projs.reshape(-1, d, d))
 
 
@@ -465,8 +470,7 @@ def categorical_lift(certG: ColoringCertificate,
     nh = int(target_dim)
     if nh < 1:
         raise ValueError("target dimension must be positive")
-    projs = permute_systems(np.kron(certG.projections, np.eye(nh)),
-                            [mg, dg, nh], [0, 2, 1])
+    projs = _lift(certG.projections, np.eye(nh), (mg, dg), (nh, 1))
     return ColoringCertificate(mg * nh, dg, 1, projs)
 
 
@@ -553,10 +557,7 @@ def complete_lower_bound_extract(graph: QuantumGraph,
     u = graph.M.conjugator
     rep = VerificationReport("complete graph lower bound extraction "
                              "(block (%d, %d), fold %d)" % (d, k, cert.fold))
-    p = cert.projections
-    if u is not None:
-        w = np.kron(u, np.eye(dn))
-        p = w.conj().T @ p @ w
+    p = (cert if u is None else cert.conjugated(u)).projections
     r = (k / d) * np.trace(p.reshape(-1, n, dn, n, dn), axis1=1, axis2=3)
     rep.add("idempotent", _worst(r @ r - r), tol)
     rep.add("self_adjoint", _worst(r - adjoint(r)), tol)

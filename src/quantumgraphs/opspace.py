@@ -62,6 +62,17 @@ def _hs_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
+def _worst(x: np.ndarray) -> float:
+    """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN."""
+    return float(np.max(_hs_norms(x), initial=0.0))
+
+
+def _projection_residual(stack: np.ndarray) -> float:
+    """max over the stack of ||P^2 - P|| and ||P - P*||."""
+    return float(np.maximum(_worst(stack @ stack - stack),
+                            _worst(stack - adjoint(stack))))
+
+
 def _max_relative(norms: np.ndarray, scales: np.ndarray) -> float:
     """max ||r|| / max(1, ||x||) over paired norms, 0.0 for none; keeps NaN."""
     return float(np.max(norms / np.maximum(1.0, scales), initial=0.0))
@@ -230,31 +241,29 @@ def permute_systems(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
 
 
 def is_projection(p, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``p`` is self-adjoint and idempotent within ``tol`` (HS norm)."""
+    """True iff ``p`` is a square projection within ``tol`` (HS norm)."""
     p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        return False
-    return (hs_norm(p @ p - p) <= tol
-            and hs_norm(p - p.conj().T) <= tol)
+    return p.shape[0] == p.shape[1] and _projection_residual(p) <= tol
 
 
 def projection_meet(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto ran(p) intersect ran(q).
+    """Projection onto ran(p) intersect ran(q), for each pair of two
+    (..., n, n) stacks of projections paired by broadcasting their leading
+    axes; two matrices give one matrix.
 
     Computed as the spectral projection of p + q for eigenvalues within
-    ``tol`` of 2; exact for commuting inputs and robust for generic ones.
+    ``tol`` of 2, with the other eigenvectors masked to zero; exact for
+    commuting inputs and robust for generic ones. Each input stack is
+    checked to hold projections once.
     """
-    p = as_matrix(p)
-    q = as_matrix(q)
-    if p.shape != q.shape:
+    p = np.asarray(p, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
+    if p.shape[-2:] != q.shape[-2:]:
         raise ValueError("shape mismatch: %r vs %r" % (p.shape, q.shape))
-    if not is_projection(p, tol) or not is_projection(q, tol):
-        raise ValueError("projection_meet requires two projections")
+    for x in (p, q):
+        if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not _projection_residual(x) <= tol:
+            raise ValueError("projection_meet requires two projections")
     h = p + q
-    h = (h + h.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    sel = vals >= 2.0 - tol
-    if not np.any(sel):
-        return np.zeros_like(p)
-    v = vecs[:, sel]
-    return v @ v.conj().T
+    vals, vecs = np.linalg.eigh((h + adjoint(h)) / 2.0)
+    v = vecs * (vals >= 2.0 - tol)[..., None, :]
+    return v @ adjoint(v)

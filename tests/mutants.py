@@ -39,6 +39,8 @@ BFOLD_RANDOM = "tests/test_bfold_oracle.py::test_bfold_matches_lexicographic_ora
 BFOLD_BEYOND = "tests/test_bfold_oracle.py::test_bfold_on_petersen_and_odd_cycles_beyond_the_oracle"
 TRANSFORM_REPORT = "tests/test_cli.py::test_transform_prints_the_report_of_its_written_certificate"
 GUARDED = "tests/test_cli.py::test_enumerations_past_the_guard_are_exit_three"
+GUARD_PROPERTY = ("tests/test_stack_properties.py::"
+                  "test_constructions_refuse_or_fit_under_the_dense_limit")
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ MUTANTS = [
            "rep = verify(graph, out, args.tol)",
            "rep = verify(graph, serialize.load_certificate(args.certificate), args.tol)",
            (TRANSFORM_REPORT,)),
-    # the three guards below are tested in a child process capped at 1.5 GB,
-    # so without them the child fails with a MemoryError or a timeout
+    # the five guards below are tested in a child process capped at 1.5 GB,
+    # so without them the child fails with a MemoryError or a timeout, or is
+    # refused by a later guard whose message the test does not accept
     Mutant("subset-products-unguarded", "coloring.py",
            "check_dense_size(m * (8 * k + 16 * d * d),",
            "check_dense_size(0,",
@@ -148,6 +151,15 @@ MUTANTS = [
            "check_dense_size(16 * m * dim * dim,",
            "check_dense_size(0,",
            (GUARDED + "[combine]",)),
+    Mutant("lift-unguarded", "coloring.py",
+           "check_dense_size(16 * prod(lead) * d * d,",
+           "check_dense_size(0,",
+           (GUARDED + "[strong-lift]", GUARDED + "[lex]", GUARDED + "[cat-lift]",
+            GUARD_PROPERTY)),
+    Mutant("lexicographic-colors-unguarded", "coloring.py",
+           "check_dense_size(16 * prod(shape),",
+           "check_dense_size(0,",
+           (GUARDED + "[lex-few-colors]", GUARD_PROPERTY)),
     Mutant("kneser-count-before-the-vertex-bound", "classical.py",
            "at_least = b < c and c > _KNESER_VERTEX_LIMIT",
            "at_least = False",

@@ -1,5 +1,8 @@
 """Exact classical solvers checked against brute force on small instances."""
 
+import resource
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -73,6 +76,15 @@ def test_vertex_limit_comes_before_any_per_vertex_work():
     g = ClassicalGraph(300, [])
     with pytest.raises(SizeGuardError):  # before its quadratic edge loop
         qg.classical_product(g, g, "strong")
+    # before random_graph's LCG loop over 2^31 pairs, so in a child capped
+    # at 1.5 GB that a missing check makes fail fast instead of hanging
+    cap = 1536 << 20
+    child = subprocess.run(
+        [sys.executable, "-c", "import quantumgraphs as qg; "
+         "qg.random_graph(qg.classical.GRAPH_VERTEX_LIMIT + 1, 0.5, 0)"],
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert "SizeGuardError: graph has %d vertices" % (limit + 1) in child.stderr
 
 
 def test_complement_and_relabel():

@@ -426,30 +426,67 @@ def test_huge_vertex_count_is_exit_three(tmp_path, name, text):
     assert proc.stderr.startswith("size guard:") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("case", ["subsets", "combine", "kneser"])
+# the start of the message of the guard that must refuse each case
+REFUSALS = {
+    "subsets": "the stack of 155117520 15-subset products",
+    "combine": "the stack of 5 embedded subset products, meets and colors",
+    "kneser": "Kneser graph K(2000000, 1000000) has at least",
+    "strong-lift": "the lifted stack of shape (1, 1, 16384, 16384)",
+    "lex": "the lifted stack of shape (1, 2, 16384, 16384)",
+    "lex-few-colors": "the lexicographic colors of shape (1, 16384, 16384)",
+    "cat-lift": "the lifted stack of shape (1, 256000, 256000)"}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
 def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
-    """Refused before anything is enumerated or allocated:
+    """Refused before anything is enumerated or allocated, each by the
+    guard its message names:
     - the C(30, 15) subset products of a 4 KB fold-15 certificate, 20 GiB
     - combine's embedding of two ancilla-128 certificates into dimension
       16384, 4 GiB a matrix
     - K(2000000, 1000000), whose vertex count math.comb computes for longer
-      than the 20-s timeout"""
+      than the 20-s timeout
+    - the strong and lexicographic lifts of ancilla-128 certificates, 4 and
+      8 GiB, and the categorical lift of one to an empty 2000-vertex H,
+      977 GiB
+    - the 4 GiB of zero colors of the lexicographic lift of a 2-fold
+      certificate with one color"""
     graph = tmp_path / "one.col"
     graph.write_text("p edge 1 0\n")
+    big = tmp_path / "big.col"
+    big.write_text("p edge 2000 0\n")
     cert = tmp_path / "cert.json"
+    pair = tmp_path / "pair.json"
+
+    def save_wide(path, fold, colors):
+        """A certificate of ``colors`` identities on ancilla 128."""
+        ser.save(str(path), ser.certificate_to_obj(qg.ColoringCertificate(
+            1, 128, fold, np.stack([np.eye(128)] * colors))))
+
+    save_wide(cert, 1, 1)
+    lifts = ["--graph-g", str(graph), "--graph-h", str(graph)]
     if case == "subsets":
         ser.save(str(cert), ser.certificate_to_obj(
             qg.ColoringCertificate(1, 1, 15, np.zeros((30, 1, 1)))))
         argv = ["color", "verify", "--bfold", str(graph), str(cert)]
     elif case == "combine":
-        ser.save(str(cert), ser.certificate_to_obj(
-            qg.ColoringCertificate(1, 128, 1, np.eye(128)[None])))
         argv = ["color", "transform", "combine", str(cert), str(cert), str(graph)]
-    else:
+    elif case == "kneser":
         argv = ["classical", "kneser", "2000000", "1000000"]
+    elif case == "strong-lift":
+        argv = ["color", "transform", "strong-lift", str(cert), str(cert), *lifts]
+    elif case.startswith("lex"):
+        # one color has no 2-subset, so no products, only zero colors
+        save_wide(cert, 2, 1 if case == "lex-few-colors" else 2)
+        save_wide(pair, 1, 2)
+        argv = ["color", "transform", "lex", str(cert), str(pair), *lifts]
+    else:
+        argv = ["color", "transform", "cat-lift", str(cert),
+                "--graph-g", str(graph), "--graph-h", str(big)]
     proc = _capped_cli(*argv, timeout=20)
     assert proc.returncode == EXIT_SIZE, proc.stderr[-500:]
-    assert proc.stderr.startswith("size guard:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("size guard: " + REFUSALS[case]), proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("line", [

@@ -193,6 +193,7 @@ def test_is_projection():
     assert not is_projection(0.5 * p)
     h = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     assert is_projection(h)
+    assert not is_projection(np.zeros((2, 3)))
 
 
 def test_projection_meet_on_commuting_diagonals():
@@ -210,5 +211,7 @@ def test_projection_meet_general_cases():
     assert np.allclose(projection_meet(p, eye), p, atol=1e-9)
     q = u[:, 2:] @ u[:, 2:].conj().T  # orthogonal range: meet is zero
     assert np.max(np.abs(projection_meet(p, q))) < 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires two projections"):
         projection_meet(p, 0.7 * q)
+    with pytest.raises(ValueError, match="requires two projections"):
+        projection_meet(np.zeros((2, 3)), np.zeros((2, 3)))

@@ -5,20 +5,29 @@ application to each matrix, and ``strong_coloring``, ``categorical_lift``
 and ``lexicographic_coloring`` must be bitwise equal to a per-matrix loop
 reference, on local certificates (diagonal projections of random color
 sets) and on the same certificates conjugated by a seeded Haar unitary.
-Hypothesis runs derandomized with a fixed example count and no example
-database, so every run checks the same inputs.
+``combine_bfold`` must match its per-pair loop, and the stacked
+``projection_meet`` the meet of each pair, to the last few ulps. Under a
+small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
+returns a stack within the limit. Hypothesis runs derandomized with a
+fixed example count and no example database, so every run checks the same
+inputs.
 """
 
 from itertools import combinations
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantumgraphs.coloring import (ColoringCertificate, categorical_lift,
+from quantumgraphs import qgraph
+from quantumgraphs.classical import ClassicalGraph, SizeGuardError
+from quantumgraphs.coloring import (ColoringCertificate, bfold_from_pvm,
+                                    categorical_lift, combine_bfold,
                                     lexicographic_coloring, pvm_from_bfold,
-                                    strong_coloring)
-from quantumgraphs.opspace import permute_systems
+                                    scale_bfold, strong_coloring)
+from quantumgraphs.opspace import permute_systems, projection_meet
+from quantumgraphs.qgraph import from_classical
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -54,11 +63,11 @@ def test_stacked_permute_systems_matches_each_matrix(data):
 
 
 @st.composite
-def certificates(draw, fold=None, colors=None):
+def certificates(draw, fold=None, colors=None, n=None):
     """A local certificate: every basis index of C^n (x) C^d gets a random
     b-subset of the colors; optionally conjugated on the graph leg by a
     seeded Haar unitary."""
-    n = draw(st.integers(1, 3))
+    n = n if n is not None else draw(st.integers(1, 3))
     d = draw(st.integers(1, 2))
     b = fold if fold is not None else draw(st.integers(1, 2))
     c = colors if colors is not None else draw(st.integers(b, b + 2))
@@ -117,3 +126,97 @@ def test_certificate_fields_are_read_only_stacks():
                            ColoringCertificate(2, 1, 1, [np.eye(2)]))
     assert cert.projections.shape == (1, 2, 2)
     assert not cert.projections.flags.writeable
+
+
+def meet_one(p, q, tol=1e-9):
+    """Reference meet of two projections: the eigenvectors of (p + q) with
+    eigenvalue within tol of 2, sliced out one matrix at a time."""
+    h = p + q
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    v = vecs[:, vals >= 2.0 - tol]
+    return v @ v.conj().T
+
+
+def combine_loop(c1, c2):
+    """Reference combine_bfold: np.kron embeddings, one permute_systems
+    call, a meet per pair of subsets and bfold_from_pvm."""
+    n, d1, d2 = c1.graph_dim, c1.ancilla_dim, c2.ancilla_dim
+    f1, f2 = pvm_from_bfold(c1), pvm_from_bfold(c2)
+    a = np.kron(np.array([q for _, q in f1]), np.eye(d2))
+    b = permute_systems(np.kron(np.array([q for _, q in f2]), np.eye(d1)),
+                        [n, d2, d1], [0, 2, 1])
+    family = [(s + tuple(x + c1.colors for x in t), meet_one(a_s, b_t))
+              for (s, _), a_s in zip(f1, a) for (t, _), b_t in zip(f2, b)]
+    return bfold_from_pvm(family, c1.colors + c2.colors, c1.fold + c2.fold,
+                          n, d1 * d2)
+
+
+def empty_graph(n):
+    return from_classical(ClassicalGraph(n, []))
+
+
+@given(st.data())
+@FIXED
+def test_combine_bfold_matches_the_per_pair_loop(data):
+    c1 = data.draw(certificates())
+    c2 = data.draw(certificates(n=c1.graph_dim))
+    out = combine_bfold(empty_graph(c1.graph_dim), c1, c2)
+    want = combine_loop(c1, c2)
+    assert (out.fold, out.colors, out.ancilla_dim) == (want.fold, want.colors,
+                                                       want.ancilla_dim)
+    assert np.allclose(out.projections, want.projections, rtol=0, atol=1e-14)
+
+
+@st.composite
+def projection_stacks(draw, n, commuting):
+    """A (k, n, n) stack of projections of random ranks: diagonal in one
+    seeded Haar basis when commuting, each in its own basis otherwise."""
+    k = draw(st.integers(0, 3))
+    ranks = draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+    seed = draw(st.integers(0, 2 ** 16))
+    out = []
+    for i, r in enumerate(ranks):
+        u = haar(n, seed if commuting else seed + i)
+        v = u[:, :r]
+        out.append(v @ v.conj().T)
+    return np.array(out, dtype=complex).reshape(k, n, n)
+
+
+@given(st.data(), st.booleans())
+@FIXED
+def test_stacked_projection_meet_matches_each_pair(data, commuting):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(projection_stacks(n, commuting))
+    q = data.draw(projection_stacks(n, commuting))
+    got = projection_meet(p[:, None], q[None])
+    assert got.shape == (len(p), len(q), n, n)
+    for i, j in np.ndindex(len(p), len(q)):
+        assert np.allclose(got[i, j], meet_one(p[i], q[j]), rtol=0, atol=1e-14)
+        assert np.allclose(projection_meet(p[i], q[j]), got[i, j], rtol=0, atol=1e-14)
+
+
+@given(st.data(), st.integers(0, 2 ** 17))
+@FIXED
+def test_constructions_refuse_or_fit_under_the_dense_limit(data, limit):
+    cg = data.draw(certificates())
+    c1 = data.draw(certificates(fold=1))
+    ch = data.draw(certificates(fold=1, colors=cg.fold))
+    nh, b = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+    graph = empty_graph(c1.graph_dim)
+    # fewer colors than the fold: no subset products, only zero colors
+    few = ColoringCertificate(cg.graph_dim, cg.ancilla_dim, cg.fold,
+                              cg.projections[:cg.fold - 1])
+    builds = [lambda: strong_coloring(c1, ch),
+              lambda: lexicographic_coloring(cg, ch),
+              lambda: lexicographic_coloring(few, ch),
+              lambda: categorical_lift(c1, nh),
+              lambda: combine_bfold(graph, c1, c1),
+              lambda: scale_bfold(graph, c1, b)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
+        for build in builds:
+            try:
+                out = build()
+            except SizeGuardError:
+                continue
+            assert out.projections.nbytes <= limit
