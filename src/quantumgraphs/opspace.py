@@ -10,6 +10,7 @@ Every HS norm over a stack of matrices, here and in ``qgraph`` and
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -65,6 +66,14 @@ def _hs_norms(x: np.ndarray) -> np.ndarray:
 def _worst(x: np.ndarray) -> float:
     """Largest HS norm over the last two axes, 0.0 if empty; keeps a NaN."""
     return float(np.max(_hs_norms(x), initial=0.0))
+
+
+def _split_support(flat: np.ndarray):
+    """(on, off): the columns of a (k, N) array with a nonzero entry (NaN
+    and Inf count) and the others; ``on`` is a full slice if ``off`` is empty."""
+    live = flat.any(axis=0)
+    off = np.flatnonzero(~live)
+    return (np.flatnonzero(live) if off.size else slice(None)), off
 
 
 def _projection_residual(stack: np.ndarray) -> float:
@@ -124,10 +133,12 @@ class OperatorSubspace:
         The workhorse behind the verifiers: batched projection of the whole
         stack at once. Any leading axes are allowed; the last two must be
         (ambient, ambient). An empty stack gives 0.0, a non-finite entry a
-        non-finite result. ``stack`` is never written to. Memory is the
-        input, the coefficients c and one more array: the conjugated basis,
-        then the residual, formed in place; ||x|| = hypot(||x - Px||, ||c||).
-        """
+        non-finite result. ``stack`` is never written to. The basis is zero off
+        its support U: c = x_U F_U*, the residual is x_U - c F_U on U and x off
+        U, and ||x|| = hypot(||x - Px||, ||c||). U is used if F_U, its
+        conjugate, x_U, c and the residual (2ku + r(2u + k) entries, r matrices)
+        fit in the rk + max(k, r) n^2 of c and the conjugated basis or residual
+        that projecting over every coordinate holds; else that runs, on views."""
         arr = np.asarray(stack, dtype=np.complex128)
         if arr.size == 0:
             return 0.0
@@ -136,11 +147,20 @@ class OperatorSubspace:
             raise ValueError("stack of shape %r does not end in (%d, %d)"
                              % (arr.shape, n, n))
         m = arr.reshape(-1, n * n)
-        coeff = m @ self._flat.conj().T
-        res = coeff @ self._flat
-        np.subtract(m, res, out=res)
-        norms = _hs_norms(res[:, None])
+        # the largest u that fits; k orthonormal matrices need u >= k
+        r, k = len(m), self.dim
+        most = max(k, r) * n * n // (2 * (k + r))
+        on, off = self._support if k <= most else (slice(None), ())
+        on, off = (on, off) if n * n - len(off) <= most else (slice(None), ())
+        lost = _hs_norms(m.take(off, axis=1)[:, None]) if len(off) else 0.0
+        f, xu = self._flat[:, on], m[:, on]
+        coeff = xu @ f.conj().T
+        res = coeff @ f
+        np.subtract(xu, res, out=res)
+        norms = np.hypot(_hs_norms(res[:, None]), lost)
         return _max_relative(norms, np.hypot(norms, _hs_norms(coeff[:, None])))
+
+    _support = cached_property(lambda self: _split_support(self._flat))
 
     def contains_subspace(self, other: "OperatorSubspace",
                           tol: float = DEFAULT_TOL) -> bool:

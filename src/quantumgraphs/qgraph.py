@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical import SizeGuardError
 from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _max_relative,
-                      adjoint, as_matrix, check_unitary)
+                      _split_support, adjoint, as_matrix, check_unitary)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -200,21 +200,23 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     w = commutant.conjugator
     t = s.basis if w is None else w.conj().T @ s.basis @ w
     f = t.reshape(k, n * n)
-    # I - F*F formed in place, so only one n^2 x n^2 array is held
-    comp = f.conj().T @ f
+    # the columns U of I - F*F formed in place, U the support of F; gone: off U
+    on, outside = s._support if w is None else _split_support(f)
+    comp = f[:, on].conj().T @ f[:, on]
     np.negative(comp, out=comp)
-    comp.flat[::n * n + 1] += 1.0
-    comp = comp.reshape(n, n, n * n)
+    comp.flat[::len(comp) + 1] += 1.0
+    if outside.size:
+        comp, part = np.zeros((n * n, len(comp)), dtype=np.complex128), comp
+        comp[on] = part
+    comp = comp.reshape(n, n, -1)
+    gone = np.bincount(outside, minlength=n * n).reshape(n, n)
     # live_rows[j, r]: row r of t_j has a nonzero entry (live_cols for
-    # columns); a NaN or Inf keeps every row, as 0 times it is NaN
-    if np.isfinite(t).all():
-        live_rows, live_cols = t.any(axis=2), t.any(axis=1)
-    else:
-        live_rows = live_cols = np.ones((k, n), dtype=bool)
+    # columns); a NaN or Inf counts, so its slices carry it to the residual
+    live_rows, live_cols = t.any(axis=2), t.any(axis=1)
     # the right side is the left side of the transposes: columns of t_j
     # are rows of t_j^T, and projector row (r, c) is row (c, r) of comp^T
-    sides = ((t, comp, live_rows),
-             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))
+    sides = ((t, comp, live_rows, gone),
+             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols, gone.T))
     worst = [0.0]
     end = 0
     for (mult, d), run in itertools.groupby(commutant.blocks):
@@ -222,7 +224,7 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
         # is copy i, index e of its block b
         off, count = end, len(list(run))
         end = off + count * mult * d
-        for x, rows, live in sides:
+        for x, rows, live, mask in sides:
             # the live slices (b, j, src): rows copies of src of t_j in
             # block b, gathered per block into a zero-padded stack
             b, j, src = np.nonzero(
@@ -237,6 +239,10 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
             stack[b, slot] = (x[:, off:end].reshape(k, count, mult, d, n)[j, b, :, src]
                               .reshape(-1, mult * n) / np.sqrt(mult))
             scale = _hs_norms(stack[..., None, :])
+            # lost[b, l, p]: the norm off U of slice l of block b moved to p
+            lost = np.sqrt(np.abs(stack) ** 2 @ mask[off:end].reshape(count, mult, d, n)
+                           .transpose(0, 1, 3, 2).reshape(count, mult * n, d)
+                           ) if outside.size and d > 1 else None
             # chunks of at most dim S * n^2 residual entries; with more than
             # one copy per block the reshape below may copy each block's
             # mult n projector rows, and they count against the same bound
@@ -245,13 +251,15 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
             width = max(1, k // rows_held)
             for dst in range(d):
                 # unit (dst, src) moves each slice to rows copies of dst
-                proj = rows[off + dst:end:d].reshape(count, mult, n, n * n)
+                proj = rows[off + dst:end:d].reshape(count, mult, n, -1)
                 for b0 in range(0, count, width):
-                    part = proj[b0:b0 + width].reshape(-1, mult * n, n * n)
+                    part = proj[b0:b0 + width].reshape(-1, mult * n, proj.shape[-1])
                     for l0 in range(0, lmax, height):
                         # one residual block alive at a time
                         norms = _hs_norms(
                             (stack[b0:b0 + width, l0:l0 + height] @ part)[..., None, :])
+                        if lost is not None:
+                            norms = np.hypot(norms, lost[b0:b0 + width, l0:l0 + height, dst])
                         worst.append(_max_relative(
                             norms, scale[b0:b0 + width, l0:l0 + height]))
     return float(np.max(worst))
@@ -271,20 +279,22 @@ def verify_quantum_graph(graph: QuantumGraph,
     o+id+q}, so a t_j times a unit is a slice of t_j: m rows (left) or m
     columns (right), moved and scaled. The residual of such a slice x is
     x times the matching rows of the complement projector I - F*F (F the
-    flattened basis of T, acting on row vectors). Only live slices are
-    multiplied: those with a nonzero entry, found from masks of the nonzero
-    rows and columns of T taken once; a zero slice has residual 0, and a
-    NaN or Inf in T keeps every slice live. For edge spaces of classical
+    flattened basis of T, acting on row vectors): F is zero off its support
+    U, so that is hypot(||x C||, ||x off U||), C the u columns U of I - F*F,
+    and with d = 1 a slice stays on U. Only live slices are multiplied:
+    those with a nonzero entry, found from masks of the nonzero rows and
+    columns of T taken once; a zero slice has residual 0, and a NaN or Inf
+    in T counts as nonzero. For edge spaces of classical
     and mixed products, whose T is made of matrix units or Kronecker
     blocks, most slices are zero. Consecutive blocks with the same (m, d)
     form a run (a diagonal commutant D_n is one run of n blocks). Per run
     and side the live slices of each block go into one zero-padded stack,
     and one batched matmul per target index p (per q on the right side)
-    against strided views of the projector gives the residuals of every
-    block's slices; the matmul is chunked so that no residual block holds
-    more than dim S * n^2 entries. The projector holds n^4 entries, and it
-    and one residual block are guarded by DENSE_BYTES_LIMIT before any
-    check, the commutant included, is formed.
+    against strided views of C gives the residuals of every block's
+    slices; the matmul is chunked so that no residual block holds more than
+    dim S * n^2 entries. C holds n^2 u <= n^4 entries; n^4 and one residual
+    block are guarded by DENSE_BYTES_LIMIT before any check, the commutant
+    included, is formed.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S

@@ -39,6 +39,10 @@ BFOLD_RANDOM = "tests/test_bfold_oracle.py::test_bfold_matches_lexicographic_ora
 BFOLD_BEYOND = "tests/test_bfold_oracle.py::test_bfold_on_petersen_and_odd_cycles_beyond_the_oracle"
 TRANSFORM_REPORT = "tests/test_cli.py::test_transform_prints_the_report_of_its_written_certificate"
 GUARDED = "tests/test_cli.py::test_enumerations_past_the_guard_are_exit_three"
+RESIDUAL_REFERENCE = ("tests/test_residual_properties.py::"
+                      "test_max_residual_matches_the_per_matrix_reference")
+RESIDUAL_NAN_BASIS = ("tests/test_residual_properties.py::"
+                      "test_a_non_finite_basis_entry_gives_a_non_finite_residual")
 GUARD_PROPERTY = ("tests/test_stack_properties.py::"
                   "test_constructions_refuse_or_fit_under_the_dense_limit")
 
@@ -54,25 +58,25 @@ class Mutant:
 
 MUTANTS = [
     Mutant("left-rows-as-columns", "qgraph.py",
-           "sides = ((t, comp, live_rows),",
-           "sides = ((t, comp.transpose(1, 0, 2), live_rows),",
+           "sides = ((t, comp, live_rows, gone),",
+           "sides = ((t, comp.transpose(1, 0, 2), live_rows, gone),",
            (ONE_SIDED,)),
     Mutant("right-columns-as-rows", "qgraph.py",
-           "(t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))",
-           "(t.transpose(0, 2, 1), comp, live_cols))",
+           "(t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols, gone.T))",
+           "(t.transpose(0, 2, 1), comp, live_cols, gone.T))",
            (ONE_SIDED,)),
     Mutant("no-multiplicity-scaling", "qgraph.py",
            ".reshape(-1, mult * n) / np.sqrt(mult))",
            ".reshape(-1, mult * n))",
            (PERTURBED,)),
     Mutant("right-side-skipped", "qgraph.py",
-           "sides = ((t, comp, live_rows),\n"
-           "             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols))",
-           "sides = ((t, comp, live_rows),)",
+           "sides = ((t, comp, live_rows, gone),\n"
+           "             (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols, gone.T))",
+           "sides = ((t, comp, live_rows, gone),)",
            (ONE_SIDED,)),
     Mutant("row-mask-for-columns", "qgraph.py",
-           "comp.transpose(1, 0, 2), live_cols))",
-           "comp.transpose(1, 0, 2), live_rows))",
+           "comp.transpose(1, 0, 2), live_cols, gone.T))",
+           "comp.transpose(1, 0, 2), live_rows, gone.T))",
            (ONE_SIDED,)),
     Mutant("copy-and-unit-index-swapped", "qgraph.py",
            ".reshape(k, count, mult, d, n)[j, b, :, src]",
@@ -82,6 +86,24 @@ MUTANTS = [
            "for b0 in range(0, count, width):",
            "for b0 in range(0, min(count, width), width):",
            (PERTURBED,)),
+    # the residual of a matrix is also its part off the support U of the
+    # basis, which the projection leaves unchanged
+    Mutant("off-support-dropped", "opspace.py",
+           "lost = _hs_norms(m.take(off, axis=1)[:, None]) if len(off) else 0.0",
+           "lost = 0.0",
+           (RESIDUAL_REFERENCE,)),
+    # a NaN in the basis must keep its coordinate on U: NaN > 0 is False
+    Mutant("support-drops-nan", "opspace.py",
+           "live = flat.any(axis=0)",
+           "live = (np.abs(flat) > 0).any(axis=0)",
+           (RESIDUAL_NAN_BASIS,)),
+    # NaN > tol is False, so "not > tol" passes a NaN residual
+    Mutant("check-passes-nan", "report.py",
+           "return self.residual <= self.tol",
+           "return not self.residual > self.tol",
+           ("tests/test_bimodule_oracle.py::test_nan_in_the_edge_space_fails_without_raising",
+            "tests/test_bimodule_properties.py::test_a_nan_in_the_edge_space_fails",
+            "tests/test_coloring.py::test_nan_entry_fails_the_coloring_condition")),
     Mutant("crosscheck-against-itself", "products.py",
            "prod_c = from_classical(classical_product(g, h, kind))",
            "prod_c = quantum",

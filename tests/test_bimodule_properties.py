@@ -6,12 +6,15 @@ the commutant's frame is a permutation of the standard one and every zero
 of the edge basis stays exactly zero there. Edge spaces are spanned by
 matrix units on random cells plus a few sparse non-units (two cells with a
 random coefficient), all on disjoint cells, so the basis is orthonormal
-as built and many residuals are nonzero on one side only. Hypothesis runs
+as built and many residuals are nonzero on one side only. A NaN in the
+basis, also one that a commutant unit moves off the support of S, must
+give a NaN residual and a failed check. Hypothesis runs
 derandomized with a fixed example count and no example database, so every
 run checks the same inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantumgraphs import BlockAlgebra, OperatorSubspace, QuantumGraph
@@ -74,3 +77,29 @@ def test_sparse_residual_matches_dense(g):
     assert_matches(g)
     assert_matches(star)
     assert abs(bimodule_check(star).residual - dense_bimodule(g)) <= ATOL
+
+
+@FIXED
+@given(sparse_graphs(), st.integers(0, 10 ** 6))
+def test_a_nan_in_the_edge_space_fails(g, where):
+    """A NaN anywhere in S's basis puts its coordinate on U and the slices
+    holding it live, so the residual is NaN and the check fails."""
+    if g.S.dim == 0:
+        return
+    basis = g.S.basis.copy()
+    basis.reshape(-1)[where % basis.size] = np.nan
+    check = bimodule_check(QuantumGraph(OperatorSubspace(g.n, basis), g.M))
+    assert np.isnan(check.residual) and not check.passed
+
+
+@pytest.mark.parametrize("blocks", [[(2, 1)], [(3, 1)], [(2, 2)], [(2, 1), (1, 1)]])
+def test_a_nan_moved_off_the_support_fails(blocks):
+    """S is spanned by E_00 + NaN E_01. A commutant unit of a block of size
+    d > 1 moves row 0 of it to another row, where every entry is off U; the
+    residual must still be NaN."""
+    m = BlockAlgebra(blocks)
+    assert max(d for _, d in m.commutant().blocks) > 1
+    basis = np.zeros((1, m.ambient_dim, m.ambient_dim), dtype=np.complex128)
+    basis[0, 0, :2] = 1.0, np.nan
+    check = bimodule_check(QuantumGraph(OperatorSubspace(m.ambient_dim, basis), m))
+    assert np.isnan(check.residual) and not check.passed

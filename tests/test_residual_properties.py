@@ -3,6 +3,9 @@
 The batched residual must match a per-matrix reference computed with
 np.linalg.norm, for stacks with any leading axes, empty stacks, the zero
 subspace and non-finite entries, and must never write to its argument.
+Subspaces are dense random ones and sparse ones (matrix units on random
+cells and Kronecker products of two such), whose support leaves out
+coordinates, so that the residual off the support is exercised too.
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run checks the same stacks.
 """
@@ -28,16 +31,43 @@ def reference(space, stack):
     return worst
 
 
+def units(draw, rng, n):
+    """Matrix units with random phases on distinct random cells of M_n; no
+    cells give the zero subspace."""
+    cells = draw(st.lists(st.integers(0, n * n - 1), unique=True, max_size=n * n))
+    basis = np.zeros((len(cells), n * n), dtype=np.complex128)
+    basis[np.arange(len(cells)), cells] = np.exp(2j * np.pi * rng.random(len(cells)))
+    return OperatorSubspace(n, basis.reshape(-1, n, n))
+
+
+@st.composite
+def spaces(draw, rng):
+    """A subspace of M_n: spanned by k random matrices (k = 0 is the zero
+    subspace), by matrix units, or the tensor product of two unit spaces."""
+    kind = draw(st.sampled_from(["dense", "units", "kron"]))
+    if kind == "kron":
+        return units(draw, rng, draw(st.integers(1, 2))).tensor(
+            units(draw, rng, draw(st.integers(1, 2))))
+    n = draw(st.integers(1, 4 if kind == "units" else 3))
+    if kind == "units":
+        return units(draw, rng, n)
+    return orthonormalize(list(randc(rng, draw(st.integers(0, n * n)), n, n)), ambient_dim=n)
+
+
+def support(space):
+    """The flat coordinates where some basis element is nonzero."""
+    return np.flatnonzero(space.basis.reshape(space.dim, space.ambient_dim ** 2).any(axis=0))
+
+
 @st.composite
 def cases(draw):
-    """(space, stack): a subspace of M_n spanned by k random matrices (k = 0
-    is the zero subspace) and a stack with 0 to 2 leading axes of length 0
-    to 3, scaled so that both branches of max(1, ||x||) occur and partly
-    drawn from the subspace so that residuals near 0 occur."""
+    """(space, stack): a subspace from ``spaces`` and a stack with 0 to 2
+    leading axes of length 0 to 3, scaled so that both branches of
+    max(1, ||x||) occur and partly drawn from the subspace so that
+    residuals near 0 occur."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(0, n * n))
-    space = orthonormalize(list(randc(rng, k, n, n)), ambient_dim=n)
+    space = draw(spaces(rng))
+    n = space.ambient_dim
     lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     stack = randc(rng, *lead, n, n) * draw(st.sampled_from([1e-3, 0.3, 1.0, 40.0]))
     if space.dim and stack.size and draw(st.booleans()):
@@ -57,17 +87,45 @@ def test_max_residual_matches_the_per_matrix_reference(case):
         assert got == 0.0
 
 
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf])
+
+
 @FIXED
-@given(cases(), st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf]),
-       st.integers(0, 10 ** 6))
-def test_a_non_finite_entry_gives_a_non_finite_residual(case, bad, where):
+@given(cases(), NON_FINITE, st.integers(0, 10 ** 6), st.booleans())
+def test_a_non_finite_entry_gives_a_non_finite_residual(case, bad, where, on_support):
+    """The entry goes on the basis's support or off it, where it exists."""
     space, stack = case
     if stack.size == 0:
         return
-    stack.reshape(-1)[where % stack.size] = bad
+    n2 = space.ambient_dim ** 2
+    on = support(space)
+    cells = on if on_support else np.setdiff1d(np.arange(n2), on)
+    cells = cells if len(cells) else np.arange(n2)
+    flat = stack.reshape(-1, n2)
+    flat[where % len(flat), cells[where % len(cells)]] = bad
     with np.errstate(invalid="ignore"):
         assert not np.isfinite(space.max_residual(stack))
         assert not np.isfinite(reference(space, stack))
+
+
+@FIXED
+@given(cases(), NON_FINITE, st.integers(0, 10 ** 6))
+def test_a_non_finite_basis_entry_gives_a_non_finite_residual(case, bad, where):
+    """The entry goes into one basis element, off the support of the others
+    where that leaves a cell, so that it alone puts its cell on U."""
+    space, stack = case
+    if stack.size == 0 or space.dim == 0:
+        return
+    n2 = space.ambient_dim ** 2
+    basis = space.basis.reshape(space.dim, n2).copy()
+    j = where % space.dim
+    others = np.delete(basis, j, axis=0).any(axis=0)
+    cells = np.flatnonzero(~others) if not others.all() else np.arange(n2)
+    basis[j, cells[where % len(cells)]] = bad
+    broken = OperatorSubspace(space.ambient_dim, basis.reshape(space.basis.shape))
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(broken.max_residual(stack))
+        assert not np.isfinite(reference(broken, stack))
 
 
 def test_max_residual_never_writes_to_its_argument():
