@@ -378,20 +378,6 @@ def _dsatur_greedy(g: ClassicalGraph) -> list:
     return colors
 
 
-def _peel_color_count(adj: list) -> int:
-    """Colors used by repeatedly removing an exact maximum independent set.
-
-    Often meets the ceil(n / alpha) lower bound on vertex-transitive
-    instances, which lets the exact solver finish without search.
-    """
-    remaining = (1 << len(adj)) - 1
-    count = 0
-    while remaining:
-        remaining &= ~_max_independent_mask(adj, remaining)
-        count += 1
-    return count
-
-
 def _maximal_independent_sets(adj: list, avail: int):
     """Every maximal independent set of G[avail], as bitsets: Bron-Kerbosch
     with pivoting, run on the complement (whose maximal cliques they are)."""
@@ -444,28 +430,26 @@ def _twin_groups(adj: list) -> list:
 def chromatic_exact(g: ClassicalGraph) -> int:
     """The chromatic number, exact, by branching on whole color classes.
 
-    Bounds first, each only while the gap is open: the lower bound
-    ceil(n / alpha) and the DSATUR greedy upper bound, then the clique
-    number, then the upper bound of independent-set peeling. The gap is
-    closed by one search over vertex sets R (Lawler, IPL 1976; Eppstein,
-    JGAA 2003). G[R] is k-colorable iff some maximal independent set I of
-    G[R] that contains a chosen vertex v leaves G[R - I] (k-1)-colorable,
-    because any color class can be grown to a maximal one by taking
-    vertices from the other classes. The candidates I are {v} joined to
-    each maximal independent set of G[R - N[v]], and v is the vertex with
-    the fewest non-neighbours in R. True twins, vertices with the same
-    closed neighbourhood in G, stay twins in every G[R], are adjacent, and
-    swapping two of them maps colorings to colorings; so of each group of
-    twins only the lowest in R - N[v] is offered to the classes through v,
-    and alpha(G) is taken with all but the lowest twin of each group
-    removed. False twins (same open neighbourhood) may share a class and
-    are not merged. The search keeps its best coloring count as the bound,
-    and a remainder R is cut off when a greedy clique of G[R],
+    The root starts from the lower bound ceil(n / alpha) against the DSATUR
+    greedy upper bound, and every other bound is taken in one search over
+    vertex sets R, of which the root is an ordinary one (Lawler, IPL 1976;
+    Eppstein, JGAA 2003). G[R] is k-colorable iff some maximal independent
+    set I of G[R] that contains a chosen vertex v leaves G[R - I]
+    (k-1)-colorable, because any color class can be grown to a maximal one
+    by taking vertices from the other classes. The candidates I are {v}
+    joined to each maximal independent set of G[R - N[v]], and v is the
+    vertex with the fewest non-neighbours in R. True twins, vertices with
+    the same closed neighbourhood in G, stay twins in every G[R], are
+    adjacent, and swapping two of them maps colorings to colorings; so of
+    each group of twins only the lowest in R - N[v] is offered to the
+    classes through v, and alpha(G) is taken with all but the lowest twin of
+    each group removed. False twins (same open neighbourhood) may share a
+    class and are not merged. The search keeps its best coloring count as
+    the bound, and a remainder R is cut off when a greedy clique of G[R],
     ceil(|R| / alpha(G[R])) or an earlier failure on R rules out the colors
     left. alpha(G[R]) is computed only when a greedy independent set cannot
-    rule that bound out, and is memoized per R; every searched R records
-    the largest color count known to fail on it. Nothing is kept between
-    calls.
+    rule that bound out, and is memoized per R; every searched R records the
+    largest color count known to fail on it. Nothing is kept between calls.
     """
     n = g.vertex_count
     if n > _CHROMATIC_VERTEX_LIMIT:
@@ -479,13 +463,7 @@ def chromatic_exact(g: ClassicalGraph) -> int:
     dup = sum(m & (m - 1) for m in twins)  # all but the lowest twin of each group
     alpha = {full: _max_independent_mask(adj, full & ~dup).bit_count()}
     co_adj = _complement_masks(adj)
-    lo = -(-n // alpha[full])
-    ub = max(_dsatur_greedy(g)) + 1
-    if lo < ub:
-        lo = max(lo, _max_independent_mask(co_adj, full).bit_count())
-    if lo < ub:
-        ub = min(ub, _peel_color_count(adj))
-    fails = {full: lo - 1}
+    fails = {}
 
     def least(rest: int, bound: int, alpha_above: int) -> int:
         """min(chi(G[rest]), bound); alpha_above bounds alpha(G[rest])."""
@@ -514,7 +492,7 @@ def chromatic_exact(g: ClassicalGraph) -> int:
         fails[rest] = max(fails.get(rest, 0), bound - 1)
         return bound
 
-    return least(full, ub, alpha[full])
+    return least(full, max(_dsatur_greedy(g)) + 1, alpha[full])
 
 
 def _cover_classes(adj: list, cand: int):
@@ -658,32 +636,25 @@ def bounds_report(g: ClassicalGraph, h: ClassicalGraph) -> dict:
     chi_b_g, _ = bfold_exact(g, b)
     prod_chi = {kind: chromatic_exact(classical_product(g, h, kind))
                 for kind in PRODUCT_KINDS}
-    checks = [
-        ("max(chi(G), chi(H)) <= chi(cartesian)",
-         max(chi_g, chi_h) <= prod_chi["cartesian"],
-         "%d <= %d" % (max(chi_g, chi_h), prod_chi["cartesian"])),
-        ("chi(categorical) <= min(chi(G), chi(H))",
-         prod_chi["categorical"] <= min(chi_g, chi_h),
-         "%d <= %d" % (prod_chi["categorical"], min(chi_g, chi_h))),
-        ("max(chi(G), chi(H)) <= chi(strong)",
-         max(chi_g, chi_h) <= prod_chi["strong"],
-         "%d <= %d" % (max(chi_g, chi_h), prod_chi["strong"])),
-        ("chi(strong) <= chi(G) * chi(H)",
-         prod_chi["strong"] <= chi_g * chi_h,
-         "%d <= %d" % (prod_chi["strong"], chi_g * chi_h)),
+    lo, hi = max(chi_g, chi_h), min(chi_g, chi_h)
+    rows = [
+        ("max(chi(G), chi(H)) <= chi(cartesian)", lo, "<=", prod_chi["cartesian"]),
+        ("chi(categorical) <= min(chi(G), chi(H))", prod_chi["categorical"], "<=", hi),
+        ("max(chi(G), chi(H)) <= chi(strong)", lo, "<=", prod_chi["strong"]),
+        ("chi(strong) <= chi(G) * chi(H)", prod_chi["strong"], "<=", chi_g * chi_h),
         ("chi(lexicographic) <= chi_b(G) at b = chi(H)",
-         prod_chi["lexicographic"] <= chi_b_g,
-         "%d <= %d" % (prod_chi["lexicographic"], chi_b_g)),
+         prod_chi["lexicographic"], "<=", chi_b_g),
         ("chi(lexicographic) == chi_b(G) at b = chi(H)",
-         prod_chi["lexicographic"] == chi_b_g,
-         "%d == %d" % (prod_chi["lexicographic"], chi_b_g)),
+         prod_chi["lexicographic"], "==", chi_b_g),
     ]
+    checks = [{"name": name, "ok": lhs <= rhs if op == "<=" else lhs == rhs,
+               "detail": "%d %s %d" % (lhs, op, rhs)} for name, lhs, op, rhs in rows]
     return {
         "v": 1, "kind": "bounds_report",
         "chi_g": chi_g, "chi_h": chi_h, "b": b, "chi_b_g": chi_b_g,
         "products": prod_chi,
-        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        "all_ok": all(ok for _, ok, _ in checks),
+        "checks": checks,
+        "all_ok": all(c["ok"] for c in checks),
     }
 
 

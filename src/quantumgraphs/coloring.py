@@ -150,7 +150,10 @@ def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
 
 
 def _commutators(p: np.ndarray) -> np.ndarray:
-    """||P_i P_j - P_j P_i|| for every pair i < j, in np.triu_indices order."""
+    """||P_i P_j - P_j P_i|| for every pair i < j, in np.triu_indices order;
+    the stack of commutators is refused past DENSE_BYTES_LIMIT first."""
+    shape = (comb(len(p), 2),) + p.shape[1:]
+    check_dense_size(16 * prod(shape), "the commutator stack of shape %r" % (shape,))
     i, j = np.triu_indices(len(p), 1)
     return _hs_norms(p[i] @ p[j] - p[j] @ p[i])
 
@@ -184,8 +187,12 @@ def _live_subsets(q: np.ndarray, edge_ops: np.ndarray) -> np.ndarray:
 def _pvm_pair_residuals(q: np.ndarray, member: np.ndarray,
                         edge_ops: np.ndarray) -> tuple:
     """max ||Q_S Q_T|| over S < T, and max ||Q_S (X (x) I) Q_T|| over
-    overlapping S != T (member[S] marks the colors of S); 0.0 for no pair."""
+    overlapping S != T (member[S] marks the colors of S); 0.0 for no pair.
+    The largest stack of one row's partners is refused past
+    DENSE_BYTES_LIMIT before any pair is formed."""
     overlap = (member @ member.T) & ~np.eye(len(q), dtype=bool)
+    shape = (int(overlap.sum(axis=1).max(initial=0)),) + edge_ops.shape
+    check_dense_size(16 * prod(shape), "the PVM pair stack of shape %r" % (shape,))
     ortho = [_worst(q[s] @ q[s + 1:]) for s in range(len(q))]
     qcol = [_worst(q[s] @ edge_ops @ q[overlap[s]][:, None]) for s in range(len(q))]
     return np.max(ortho, initial=0.0), np.max(qcol, initial=0.0)

@@ -34,7 +34,7 @@ PERTURBED = "tests/test_bimodule_oracle.py::test_perturbed_edge_spaces_match"
 MULTI_BLOCK = "tests/test_bimodule_oracle.py::test_multi_block_algebras_match"
 PLANTED_TWINS = "tests/test_chromatic_oracle.py::test_chromatic_matches_oracle_with_planted_twins"
 CHI_RANDOM = "tests/test_chromatic_oracle.py::test_chromatic_matches_oracle_on_random_graphs"
-CHI_CLOSED_FORMS = "tests/test_chromatic_oracle.py::test_product_closed_forms_under_relabeling"
+CHI_CLOSED_FORMS = "tests/test_chromatic_oracle.py::test_closed_forms_under_relabeling"
 BFOLD_RANDOM = "tests/test_bfold_oracle.py::test_bfold_matches_lexicographic_oracle_on_random_graphs"
 BFOLD_BEYOND = "tests/test_bfold_oracle.py::test_bfold_on_petersen_and_odd_cycles_beyond_the_oracle"
 TRANSFORM_REPORT = "tests/test_cli.py::test_transform_prints_the_report_of_its_written_certificate"
@@ -45,6 +45,8 @@ RESIDUAL_NAN_BASIS = ("tests/test_residual_properties.py::"
                       "test_a_non_finite_basis_entry_gives_a_non_finite_residual")
 GUARD_PROPERTY = ("tests/test_stack_properties.py::"
                   "test_constructions_refuse_or_fit_under_the_dense_limit")
+VERIFIER_GUARD_PROPERTY = ("tests/test_stack_properties.py::"
+                           "test_verifier_stacks_refuse_or_fit_under_the_dense_limit")
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,11 @@ MUTANTS = [
            "inside &= ~(m & (m - 1))",
            "inside &= ~m",
            (PLANTED_TWINS, CHI_CLOSED_FORMS)),
+    # the root is an ordinary remainder: its alpha alone sets ceil(n / alpha)
+    Mutant("chromatic-root-alpha-one-too-small", "classical.py",
+           "alpha = {full: _max_independent_mask(adj, full & ~dup).bit_count()}",
+           "alpha = {full: _max_independent_mask(adj, full & ~dup).bit_count() - 1}",
+           (CHI_CLOSED_FORMS,)),
     Mutant("chromatic-alpha-one-too-small", "classical.py",
            "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count()",
            "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count() - 1",
@@ -142,6 +149,11 @@ MUTANTS = [
            "cls.bit_count() for cls in _cover_classes(adj, rest))",
            "cls.bit_count() for cls in _cover_classes(adj, rest)) - 1",
            (BFOLD_BEYOND,)),
+    # a class must lower each vertex's demand by one level, not clear it
+    Mutant("bfold-spend-without-level-shift", "classical.py",
+           "return (demand & ~rep) | ((demand >> n) & rep)",
+           "return (demand & ~rep) | (demand & rep)",
+           (BFOLD_RANDOM, BFOLD_BEYOND)),
     Mutant("bfold-clique-bound-one-too-large", "classical.py",
            "lo = max(lo, clique_demand(demand))",
            "lo = max(lo, clique_demand(demand) + 1)",
@@ -179,9 +191,17 @@ MUTANTS = [
            (GUARDED + "[strong-lift]", GUARDED + "[lex]", GUARDED + "[cat-lift]",
             GUARD_PROPERTY)),
     Mutant("lexicographic-colors-unguarded", "coloring.py",
-           "check_dense_size(16 * prod(shape),",
-           "check_dense_size(0,",
+           'check_dense_size(16 * prod(shape), "the lexicographic colors',
+           'check_dense_size(0, "the lexicographic colors',
            (GUARDED + "[lex-few-colors]", GUARD_PROPERTY)),
+    Mutant("commutators-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the commutator stack',
+           'check_dense_size(0, "the commutator stack',
+           (GUARDED + "[commutators]", VERIFIER_GUARD_PROPERTY)),
+    Mutant("pvm-pairs-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the PVM pair stack',
+           'check_dense_size(0, "the PVM pair stack',
+           (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_PROPERTY)),
     Mutant("kneser-count-before-the-vertex-bound", "classical.py",
            "at_least = b < c and c > _KNESER_VERTEX_LIMIT",
            "at_least = False",
@@ -191,6 +211,24 @@ MUTANTS = [
            "u.T @ graph.S.basis @ u",
            ("tests/test_qgraph.py::test_conjugate_graph_preserves_axioms",
             "tests/test_coloring.py::test_unitary_invariance_of_bfold_certificates")),
+    Mutant("pvm-partners-skipped", "coloring.py",
+           "ortho = [_worst(q[s] @ q[s + 1:]) for s in range(len(q))]",
+           "ortho = [_worst(q[s] @ q[s + 2:]) for s in range(len(q))]",
+           ("tests/test_verify_oracle.py::"
+            "test_random_noncommuting_projections_match_the_oracle",)),
+    # copy j and index i of a block swap roles in the commutant
+    Mutant("commutant-order-unswapped", "qgraph.py",
+           "order = [o + j * k + i",
+           "order = [o + i * m + j",
+           ("tests/test_block_algebra_properties.py::"
+            "test_commutant_units_commute_with_algebra_units",)),
+    Mutant("tensor-columns-in-leg-order", "qgraph.py",
+           "for i in range(nr) for j in range(ns)\n"
+           "                 for p in range(kr) for q in range(ks)]",
+           "for i in range(nr) for p in range(kr)\n"
+           "                 for j in range(ns) for q in range(ks)]",
+           ("tests/test_block_algebra_properties.py::"
+            "test_tensor_is_the_span_of_kron_products",)),
     # a zero product met with a NaN edge operator gives NaN, not zero
     Mutant("live-subsets-without-finiteness-guard", "coloring.py",
            "if np.isfinite(q).all() and np.isfinite(edge_ops).all():",

@@ -1,5 +1,6 @@
 """chromatic_exact against an independent inclusion-exclusion oracle and
-against closed forms of lexicographic and strong products."""
+against closed forms: lexicographic and strong products, Kneser graphs and
+Mycielski graphs."""
 
 import random
 
@@ -68,7 +69,6 @@ def search_alone(request, monkeypatch):
     if request.param:
         monkeypatch.setattr(classical, "_dsatur_greedy",
                             lambda g: list(range(g.vertex_count)))
-        monkeypatch.setattr(classical, "_peel_color_count", len)
     return request.param
 
 
@@ -124,16 +124,36 @@ def test_chromatic_matches_oracle_on_relabeled_products(kind, search_alone):
     assert checked >= 20
 
 
+def mycielski(k):
+    """The Mycielski graph M_k (M_2 = K_2, M_3 = C_5, M_4 = Groetzsch): from
+    M_k on vertices v_i, M_(k+1) adds a shadow u_i joined to the neighbours
+    of v_i, and a hub joined to every shadow. chi(M_k) = k."""
+    g = qg.complete(2)
+    for _ in range(k - 2):
+        n = g.vertex_count
+        edges = set(g.edges) | {(w, n + v) for v, w in g.edges}
+        edges |= {(v, n + w) for v, w in g.edges} | {(n + v, 2 * n) for v in range(n)}
+        g = qg.ClassicalGraph(2 * n + 1, edges)
+    return g
+
+
 # Seeds 1, 3, 5, 7-9, 13, 16, 18-20, 22 and 23 of this relabeling of C5[K5]
 # took plain vertex-by-vertex backtracking 1.9 to 2.8 s each (2-vCPU Xeon,
-# Python 3.11); the others took a few milliseconds.
-@pytest.mark.parametrize("name, g, kind, h, chi", [
-    ("C5[K5]", qg.cycle(5), "lexicographic", qg.complete(5), 13),
-    ("C5[C5]", qg.cycle(5), "lexicographic", qg.cycle(5), 8),
-    ("C7[K3]", qg.cycle(7), "lexicographic", qg.complete(3), 7),
-    ("C7xK3", qg.cycle(7), "strong", qg.complete(3), 7),
-])
-def test_product_closed_forms_under_relabeling(name, g, kind, h, chi, search_alone):
-    prod = classical_product(g, h, kind)
+# Python 3.11); the others took a few milliseconds. chi(K(c, b)) = c - 2b + 2
+# (Lovasz, JCTA 1978).
+CLOSED_FORMS = [
+    ("C5[K5]", classical_product(qg.cycle(5), qg.complete(5), "lexicographic"), 13),
+    ("C5[C5]", classical_product(qg.cycle(5), qg.cycle(5), "lexicographic"), 8),
+    ("C7[K3]", classical_product(qg.cycle(7), qg.complete(3), "lexicographic"), 7),
+    ("C7xK3", classical_product(qg.cycle(7), qg.complete(3), "strong"), 7),
+    ("K(6,2)", qg.kneser(6, 2), 4),
+    ("K(7,2)", qg.kneser(7, 2), 5),
+    ("M4", mycielski(4), 4),
+    ("M5", mycielski(5), 5),
+]
+
+
+@pytest.mark.parametrize("name, g, chi", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_closed_forms_under_relabeling(name, g, chi, search_alone):
     for seed in range(24):
-        assert chromatic_exact(relabeled(prod, seed)) == chi, (name, seed)
+        assert chromatic_exact(relabeled(g, seed)) == chi, (name, seed)

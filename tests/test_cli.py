@@ -434,7 +434,9 @@ REFUSALS = {
     "strong-lift": "the lifted stack of shape (1, 1, 16384, 16384)",
     "lex": "the lifted stack of shape (1, 2, 16384, 16384)",
     "lex-few-colors": "the lexicographic colors of shape (1, 16384, 16384)",
-    "cat-lift": "the lifted stack of shape (1, 256000, 256000)"}
+    "cat-lift": "the lifted stack of shape (1, 256000, 256000)",
+    "commutators": "the commutator stack of shape (319600, 12, 12)",
+    "pvm-pairs": "the PVM pair stack of shape (459, 132, 48, 48)"}
 
 
 @pytest.mark.parametrize("case", REFUSALS)
@@ -450,7 +452,11 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
       8 GiB, and the categorical lift of one to an empty 2000-vertex H,
       977 GiB
     - the 4 GiB of zero colors of the lexicographic lift of a 2-fold
-      certificate with one color"""
+      certificate with one color
+    - the 0.69 GiB of commutators of 800 identities of dimension 12, a
+      6 MB certificate
+    - the 2.1 GiB of one subset's overlapping partners in the PVM coloring
+      check of 20 identities on K12 at fold 3 and ancilla 4, 2 MB"""
     graph = tmp_path / "one.col"
     graph.write_text("p edge 1 0\n")
     big = tmp_path / "big.col"
@@ -471,6 +477,16 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
         argv = ["color", "verify", "--bfold", str(graph), str(cert)]
     elif case == "combine":
         argv = ["color", "transform", "combine", str(cert), str(cert), str(graph)]
+    elif case == "commutators":
+        ser.save(str(cert), ser.certificate_to_obj(
+            qg.ColoringCertificate(1, 12, 1, np.stack([np.eye(12)] * 800))))
+        argv = ["color", "verify", "--bfold", str(graph), str(cert)]
+    elif case == "pvm-pairs":
+        k12 = tmp_path / "k12.col"
+        k12.write_text(qg.to_dimacs(qg.complete(12)))
+        ser.save(str(cert), ser.certificate_to_obj(
+            qg.ColoringCertificate(12, 4, 3, np.stack([np.eye(48)] * 20))))
+        argv = ["color", "verify", "--bfold", str(k12), str(cert)]
     elif case == "kneser":
         argv = ["classical", "kneser", "2000000", "1000000"]
     elif case == "strong-lift":

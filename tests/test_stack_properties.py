@@ -8,7 +8,8 @@ sets) and on the same certificates conjugated by a seeded Haar unitary.
 ``combine_bfold`` must match its per-pair loop, and the stacked
 ``projection_meet`` the meet of each pair, to the last few ulps. Under a
 small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
-returns a stack within the limit. Hypothesis runs derandomized with a
+returns a stack within the limit, and so does every stack whose norms the
+b-fold verifier and the subset PVM take. Hypothesis runs derandomized with a
 fixed example count and no example database, so every run checks the same
 inputs.
 """
@@ -20,12 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantumgraphs import qgraph
-from quantumgraphs.classical import ClassicalGraph, SizeGuardError
+from quantumgraphs import coloring, qgraph
+from quantumgraphs.classical import ClassicalGraph, SizeGuardError, complete
 from quantumgraphs.coloring import (ColoringCertificate, bfold_from_pvm,
                                     categorical_lift, combine_bfold,
                                     lexicographic_coloring, pvm_from_bfold,
-                                    scale_bfold, strong_coloring)
+                                    scale_bfold, strong_coloring, verify_bfold)
 from quantumgraphs.opspace import permute_systems, projection_meet
 from quantumgraphs.qgraph import from_classical
 
@@ -220,3 +221,35 @@ def test_constructions_refuse_or_fit_under_the_dense_limit(data, limit):
             except SizeGuardError:
                 continue
             assert out.projections.nbytes <= limit
+
+
+@given(st.data(), st.integers(0, 40))
+@FIXED
+def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
+    """The commutator stack and the PVM pair stack are refused or fit: every
+    stack whose norms verify_bfold or pvm_from_bfold takes, through _worst
+    or _hs_norms, is within a limit of ``matrices`` matrices of the
+    certificate's dimension."""
+    b = data.draw(st.integers(1, 3))
+    cert = data.draw(certificates(fold=b, colors=data.draw(st.integers(b, b + 3))))
+    graph = from_classical(complete(cert.graph_dim))
+    limit = 16 * matrices * cert.total_dim ** 2
+    sizes = []
+
+    def spy(norms):
+        def wrapped(x):
+            sizes.append(x.nbytes)
+            return norms(x)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_worst", spy(coloring._worst))
+        mp.setattr(coloring, "_hs_norms", spy(coloring._hs_norms))
+        mp.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
+        for check in (lambda: verify_bfold(graph, cert), lambda: pvm_from_bfold(cert)):
+            sizes.clear()
+            try:
+                check()
+            except SizeGuardError:
+                continue
+            assert max(sizes, default=0) <= limit
