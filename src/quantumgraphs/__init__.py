@@ -18,11 +18,10 @@ from .classical import (BFoldAssignment, ClassicalGraph, SizeGuardError,
 from .coloring import (ColoringCertificate, HomomorphismCertificate,
                        bell_coloring, bfold_from_pvm, categorical_lift,
                        combine_bfold, complete_lower_bound_extract,
-                       from_local_cert, hedetniemi_witness,
-                       lexicographic_coloring, pvm_from_bfold, reduce_bfold,
-                       sabidussi_witness, scale_bfold, strong_coloring,
-                       to_local_cert, verify_bfold, verify_coloring,
-                       verify_homomorphism)
+                       hedetniemi_witness, lexicographic_coloring,
+                       pvm_from_bfold, reduce_bfold, sabidussi_witness,
+                       scale_bfold, strong_coloring, to_local_cert,
+                       verify_bfold, verify_coloring, verify_homomorphism)
 from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_norm, is_projection,
                       orthonormalize, permute_systems, projection_meet)
 from .products import (LEXICOGRAPHIC_NOTE, PRODUCT_KINDS, cartesian,

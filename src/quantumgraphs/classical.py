@@ -73,12 +73,6 @@ class ClassicalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def complement(self) -> "ClassicalGraph":
-        n = self.vertex_count
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if not self.has_edge(u, v)]
-        return ClassicalGraph(n, edges)
-
     def relabel(self, perm) -> "ClassicalGraph":
         """Image under the vertex bijection v -> perm[v]."""
         perm = [int(p) for p in perm]

@@ -281,18 +281,21 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
     d_in = cert.source_dim * cert.ancilla_dim
     fs = cert.kraus
     fs_adj = adjoint(fs)
+    shape = (len(fs), d_in, d_in)
+    check_dense_size(16 * prod(shape), "the Kraus product stack of shape %r" % (shape,))
     tp = (fs_adj @ fs).sum(axis=0) - np.eye(d_in)
     rep.add("trace_preserving", hs_norm(tp), tol)
 
-    # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
-    left, right = fs[:, None, None], fs_adj[None, :, None]
     edge_ops = _with_ancilla(source.S.basis, cert.ancilla_dim)
-    rep.add("edge_space_mapped",
-            target.S.max_residual(left @ edge_ops @ right), tol)
-
     src_comm = source.M.commutant().basis()
     dst_comm = target.M.commutant().basis()
     yi = _with_ancilla(src_comm.basis, cert.ancilla_dim)
+    # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
+    shape = (len(fs), len(fs), max(len(edge_ops), len(yi)), target.n, target.n)
+    check_dense_size(16 * prod(shape), "the Kraus pair stack of shape %r" % (shape,))
+    left, right = fs[:, None, None], fs_adj[None, :, None]
+    rep.add("edge_space_mapped",
+            target.S.max_residual(left @ edge_ops @ right), tol)
     rep.add("commutant_mapped", dst_comm.max_residual(left @ yi @ right), tol)
     return rep
 
@@ -300,10 +303,11 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
 # ---------------------------------------------------------------------------
 # transformations between certificates
 
-def _subset_pvm(cert: ColoringCertificate, tol: float) -> tuple:
-    """The b-subsets and their products, as _subset_products gives them,
-    of projections that commute pairwise; raises on the first pair whose
-    commutator is not within ``tol`` (a NaN commutator included)."""
+def pvm_from_bfold(cert: ColoringCertificate, tol: float = DEFAULT_TOL) -> tuple:
+    """The subset PVM of a b-fold coloring: its b-subsets T as a (m, b) array
+    in lexicographic order and the (m, d, d) stack of Q_T = prod_{a in T} P_a.
+    Raises on the first pair of projections whose commutator is not within
+    ``tol`` (a NaN commutator included)."""
     p = cert.projections
     bad = np.flatnonzero(~(_commutators(p) <= tol))
     if bad.size:
@@ -313,29 +317,24 @@ def _subset_pvm(cert: ColoringCertificate, tol: float) -> tuple:
     return _subset_products(p, cert.fold)
 
 
-def pvm_from_bfold(cert: ColoringCertificate, tol: float = DEFAULT_TOL):
-    """The subset PVM: list of (b-subset, Q_T) with Q_T = prod_{a in T} P_a.
-
-    Requires pairwise commuting projections (see _subset_pvm).
-    """
-    subsets, q = _subset_pvm(cert, tol)
-    return list(zip(map(tuple, subsets.tolist()), q))
-
-
-def bfold_from_pvm(family, colors: int, fold: int, graph_dim: int,
+def bfold_from_pvm(subsets, q, colors: int, fold: int, graph_dim: int,
                    ancilla_dim: int) -> ColoringCertificate:
-    """Rebuild projections from a subset family: P_a = sum_{T contains a} Q_T.
-
-    ``family`` is an iterable of (subset, matrix); subsets not listed count
-    as zero.
-    """
+    """Rebuild projections from a subset PVM: P_a = sum_{T contains a} Q_T
+    over the rows T of the integer (m, k) array ``subsets`` and the (m, d, d)
+    stack ``q``, d = graph_dim * ancilla_dim, added in row order. Both are
+    checked, and the colors refused past DENSE_BYTES_LIMIT, before any sum."""
+    subsets, q = np.asarray(subsets), np.asarray(q)
     d = graph_dim * ancilla_dim
-    projs = np.zeros((colors, d, d), dtype=np.complex128)
-    for t, q in family:
-        for a in t:
-            if not 0 <= a < colors:
-                raise ValueError("subset %r uses a color outside [0, %d)" % (t, colors))
-            projs[a] += as_matrix(q)
+    if subsets.dtype.kind not in "iu" or subsets.ndim != 2:
+        raise ValueError("subsets must be an integer (m, k) array")
+    if q.shape != (len(subsets), d, d):
+        raise ValueError("q must have shape %r" % ((len(subsets), d, d),))
+    if subsets.size and not 0 <= subsets.min() <= subsets.max() < colors:
+        raise ValueError("a subset uses a color outside [0, %d)" % colors)
+    shape = (colors, d, d)
+    check_dense_size(16 * prod(shape), "the rebuilt colors of shape %r" % (shape,))
+    projs = np.zeros(shape, dtype=np.complex128)
+    np.add.at(projs, subsets, q[:, None])
     return ColoringCertificate(graph_dim, ancilla_dim, fold, projs)
 
 
@@ -385,8 +384,8 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     """
     if cert1.graph_dim != graph.n or cert2.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
-    s1, q1 = _subset_pvm(cert1, tol)
-    s2, q2 = _subset_pvm(cert2, tol)
+    s1, q1 = pvm_from_bfold(cert1, tol)
+    s2, q2 = pvm_from_bfold(cert2, tol)
     n = graph.n
     d1, d2 = cert1.ancilla_dim, cert2.ancilla_dim
     c1, colors = cert1.colors, cert1.colors + cert2.colors
@@ -397,9 +396,8 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
                             _lift(np.eye(d1), q2, (1, d1), (n, d2))[None], tol)
     subsets = np.hstack([np.repeat(s1, len(s2), axis=0),
                          np.tile(s2 + c1, (len(s1), 1))])
-    projs = np.zeros((colors, dim, dim), dtype=np.complex128)
-    np.add.at(projs, subsets, meets.reshape(len(subsets), 1, dim, dim))
-    return ColoringCertificate(n, d1 * d2, cert1.fold + cert2.fold, projs)
+    return bfold_from_pvm(subsets, meets.reshape(-1, dim, dim), colors,
+                          cert1.fold + cert2.fold, n, d1 * d2)
 
 
 def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
@@ -427,8 +425,8 @@ def lexicographic_coloring(certG: ColoringCertificate,
     rank_T(a) (the 1-based position of the color a in the ascending order
     of T): P_a = sum_{T contains a} Q_T (x) P^H_{rank_T(a)}, with legs
     arranged as (G, H, ancilla_G, ancilla_H). All the products are formed
-    as one stack by _lift and summed into the colors subset by subset. The
-    color count equals certG.colors, and the colors have their own guard.
+    as one stack by _lift and summed into the colors by bfold_from_pvm. The
+    color count equals certG.colors.
     """
     b = certG.fold
     if certH.fold != 1:
@@ -436,17 +434,15 @@ def lexicographic_coloring(certG: ColoringCertificate,
     if certH.colors != b:
         raise ValueError("H needs exactly %d colors (the fold of G), got %d"
                          % (b, certH.colors))
-    subsets, q = _subset_pvm(certG, DEFAULT_TOL)
+    subsets, q = pvm_from_bfold(certG)
     mg, dg = certG.graph_dim, certG.ancilla_dim
     mh, dh = certH.graph_dim, certH.ancilla_dim
     # blocks[s, r] = Q_T (x) P^H_r for the s-th subset T, whose r-th color
-    # in ascending order is subsets[s, r]
+    # in ascending order is subsets[s, r]: a one-color subset of its own
     blocks = _lift(q[:, None], certH.projections[None], (mg, dg), (mh, dh))
-    shape = (certG.colors,) + blocks.shape[2:]
-    check_dense_size(16 * prod(shape), "the lexicographic colors of shape %r" % (shape,))
-    projs = np.zeros(shape, dtype=np.complex128)
-    np.add.at(projs, subsets, blocks)
-    return ColoringCertificate(mg * mh, dg * dh, 1, projs)
+    d = blocks.shape[-1]
+    return bfold_from_pvm(subsets.reshape(-1, 1), blocks.reshape(-1, d, d),
+                          certG.colors, 1, mg * mh, dg * dh)
 
 
 def strong_coloring(certG: ColoringCertificate,
@@ -585,34 +581,3 @@ def to_local_cert(graph: ClassicalGraph,
     projs = tuple(np.diag([1.0 if a in s else 0.0 for s in assignment.assignment])
                   for a in range(assignment.palette_size))
     return ColoringCertificate(graph.vertex_count, 1, assignment.fold, projs)
-
-
-def from_local_cert(graph: ClassicalGraph, cert: ColoringCertificate,
-                    tol: float = DEFAULT_TOL) -> BFoldAssignment:
-    """Read a diagonal ancilla-1 certificate back into a color assignment.
-
-    Rejects non-diagonal projections, entries away from {0, 1}, and any
-    assignment that is not a proper b-fold coloring of the graph.
-    """
-    if cert.ancilla_dim != 1:
-        raise ValueError("not a local certificate: ancilla dimension %d"
-                         % cert.ancilla_dim)
-    if cert.graph_dim != graph.vertex_count:
-        raise ValueError("certificate does not match the graph")
-    n = graph.vertex_count
-    sets = [set() for _ in range(n)]
-    for a, p in enumerate(cert.projections):
-        off = p - np.diag(np.diag(p))
-        if hs_norm(off) > tol:
-            raise ValueError("projection %d is not diagonal" % a)
-        for v in range(n):
-            x = p[v, v]
-            if abs(x - 1.0) <= tol:
-                sets[v].add(a)
-            elif abs(x) > tol:
-                raise ValueError("projection %d has entry %r away from 0/1 at "
-                                 "vertex %d" % (a, x, v))
-    out = BFoldAssignment(cert.colors, cert.fold,
-                          tuple(frozenset(s) for s in sets))
-    out.validate(graph)
-    return out

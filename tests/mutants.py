@@ -45,6 +45,10 @@ RESIDUAL_NAN_BASIS = ("tests/test_residual_properties.py::"
                       "test_a_non_finite_basis_entry_gives_a_non_finite_residual")
 GUARD_PROPERTY = ("tests/test_stack_properties.py::"
                   "test_constructions_refuse_or_fit_under_the_dense_limit")
+HOMOMORPHISM_GUARD_PROPERTY = ("tests/test_stack_properties.py::"
+                               "test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit")
+HOSTILE_KRAUS = ("tests/test_homomorphisms.py::"
+                 "test_hostile_kraus_families_are_refused_before_their_stacks")
 VERIFIER_GUARD_PROPERTY = ("tests/test_stack_properties.py::"
                            "test_verifier_stacks_refuse_or_fit_under_the_dense_limit")
 
@@ -174,7 +178,7 @@ MUTANTS = [
            "rep = verify(graph, out, args.tol)",
            "rep = verify(graph, serialize.load_certificate(args.certificate), args.tol)",
            (TRANSFORM_REPORT,)),
-    # the five guards below are tested in a child process capped at 1.5 GB,
+    # the guards below are tested in a child process capped at 1.5 GB,
     # so without them the child fails with a MemoryError or a timeout, or is
     # refused by a later guard whose message the test does not accept
     Mutant("subset-products-unguarded", "coloring.py",
@@ -190,9 +194,9 @@ MUTANTS = [
            "check_dense_size(0,",
            (GUARDED + "[strong-lift]", GUARDED + "[lex]", GUARDED + "[cat-lift]",
             GUARD_PROPERTY)),
-    Mutant("lexicographic-colors-unguarded", "coloring.py",
-           'check_dense_size(16 * prod(shape), "the lexicographic colors',
-           'check_dense_size(0, "the lexicographic colors',
+    Mutant("rebuilt-colors-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the rebuilt colors',
+           'check_dense_size(0, "the rebuilt colors',
            (GUARDED + "[lex-few-colors]", GUARD_PROPERTY)),
     Mutant("commutators-unguarded", "coloring.py",
            'check_dense_size(16 * prod(shape), "the commutator stack',
@@ -202,6 +206,14 @@ MUTANTS = [
            'check_dense_size(16 * prod(shape), "the PVM pair stack',
            'check_dense_size(0, "the PVM pair stack',
            (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_PROPERTY)),
+    Mutant("homomorphism-stacks-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the Kraus pair stack',
+           'check_dense_size(0, "the Kraus pair stack',
+           (HOSTILE_KRAUS + "[pairs]", HOMOMORPHISM_GUARD_PROPERTY)),
+    Mutant("homomorphism-products-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the Kraus product stack',
+           'check_dense_size(0, "the Kraus product stack',
+           (HOSTILE_KRAUS + "[products]",)),
     Mutant("kneser-count-before-the-vertex-bound", "classical.py",
            "at_least = b < c and c > _KNESER_VERTEX_LIMIT",
            "at_least = False",
@@ -229,6 +241,18 @@ MUTANTS = [
            "                 for j in range(ns) for q in range(ks)]",
            ("tests/test_block_algebra_properties.py::"
             "test_tensor_is_the_span_of_kron_products",)),
+    # a color shared by several subsets must get the sum of their products
+    Mutant("pvm-rebuild-overwrites", "coloring.py",
+           "np.add.at(projs, subsets, q[:, None])",
+           "projs[subsets] = q[:, None]",
+           ("tests/test_stack_properties.py::"
+            "test_lexicographic_coloring_matches_the_loop",)),
+    # np.add.at wraps a negative color round to the end of the palette
+    Mutant("pvm-rebuild-range-unchecked", "coloring.py",
+           "if subsets.size and not 0 <= subsets.min() <= subsets.max() < colors:",
+           "if False:",
+           ("tests/test_coloring.py::"
+            "test_bfold_from_pvm_rejects_malformed_families[negative]",)),
     # a zero product met with a NaN edge operator gives NaN, not zero
     Mutant("live-subsets-without-finiteness-guard", "coloring.py",
            "if np.isfinite(q).all() and np.isfinite(edge_ops).all():",

@@ -118,11 +118,10 @@ def test_criterion_07_constructive_transformations(c5_two_fold):
     reduced, _ = qg.reduce_bfold(c5q, c5_two_fold, tol)
     track(qg.verify_coloring(c5q, reduced, tol))
 
-    family = qg.pvm_from_bfold(c5_two_fold, tol)
-    rebuilt = qg.bfold_from_pvm(family, c5_two_fold.colors, c5_two_fold.fold,
+    subsets, q = qg.pvm_from_bfold(c5_two_fold, tol)
+    rebuilt = qg.bfold_from_pvm(subsets, q, c5_two_fold.colors, c5_two_fold.fold,
                                 c5_two_fold.graph_dim, c5_two_fold.ancilla_dim)
-    worst = max(worst, max(np.max(np.abs(a - b)) for a, b in
-                           zip(rebuilt.projections, c5_two_fold.projections)))
+    worst = max(worst, np.max(np.abs(rebuilt.projections - c5_two_fold.projections)))
     track(qg.verify_bfold(c5q, rebuilt, tol))
 
     k3 = qg.complete(3)

@@ -87,9 +87,8 @@ def test_vertex_limit_comes_before_any_per_vertex_work():
     assert "SizeGuardError: graph has %d vertices" % (limit + 1) in child.stderr
 
 
-def test_complement_and_relabel():
+def test_relabel():
     c5 = qg.cycle(5)
-    assert c5.complement().edge_count == 10 - 5
     rolled = c5.relabel([(v + 1) % 5 for v in range(5)])
     assert rolled == c5  # cycles are shift invariant
     with pytest.raises(ValueError):

@@ -433,7 +433,7 @@ REFUSALS = {
     "kneser": "Kneser graph K(2000000, 1000000) has at least",
     "strong-lift": "the lifted stack of shape (1, 1, 16384, 16384)",
     "lex": "the lifted stack of shape (1, 2, 16384, 16384)",
-    "lex-few-colors": "the lexicographic colors of shape (1, 16384, 16384)",
+    "lex-few-colors": "the rebuilt colors of shape (1, 16384, 16384)",
     "cat-lift": "the lifted stack of shape (1, 256000, 256000)",
     "commutators": "the commutator stack of shape (319600, 12, 12)",
     "pvm-pairs": "the PVM pair stack of shape (459, 132, 48, 48)"}

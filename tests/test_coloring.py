@@ -7,9 +7,9 @@ import quantumgraphs as qg
 from quantumgraphs import coloring
 from quantumgraphs.coloring import (
     ColoringCertificate, bell_coloring, bfold_from_pvm, categorical_lift,
-    combine_bfold, complete_lower_bound_extract, from_local_cert,
-    lexicographic_coloring, pvm_from_bfold, reduce_bfold, scale_bfold,
-    strong_coloring, to_local_cert, verify_bfold, verify_coloring)
+    combine_bfold, complete_lower_bound_extract, lexicographic_coloring,
+    pvm_from_bfold, reduce_bfold, scale_bfold, strong_coloring, to_local_cert,
+    verify_bfold, verify_coloring)
 from quantumgraphs.report import VerificationFailure, VerificationReport
 
 
@@ -25,10 +25,12 @@ def k_n_coloring(n):
 
 
 def test_local_cert_round_trip(c5_two_fold):
+    """Each vertex's diagonal entries give back its color set."""
     g = qg.cycle(5)
-    back = from_local_cert(g, c5_two_fold)
-    back.validate(g)
-    assert back.fold == 2 and back.palette_size == 5
+    _, witness = qg.bfold_exact(g, 2)
+    diag = np.diagonal(c5_two_fold.projections, axis1=1, axis2=2)
+    sets = tuple(frozenset(np.flatnonzero(d).tolist()) for d in diag.T)
+    assert sets == witness.assignment
     ok(verify_bfold(qg.from_classical(g), c5_two_fold))
 
 
@@ -38,11 +40,6 @@ def test_local_cert_shape():
     assert cert.ancilla_dim == 1 and cert.fold == 1
     assert cert.colors == 3
     assert sorted(cert.active_colors()) == [0, 1, 2]
-
-
-def test_from_local_cert_rejects_entangled(bell2):
-    with pytest.raises(ValueError):
-        from_local_cert(qg.complete(2), bell2)
 
 
 def test_verify_coloring_detects_bad_certificates():
@@ -137,13 +134,34 @@ def test_relabeling_by_a_non_unitary_raises(c5_two_fold, haar):
 
 
 def test_pvm_round_trip(c5_two_fold):
-    family = pvm_from_bfold(c5_two_fold)
-    rebuilt = bfold_from_pvm(family, c5_two_fold.colors, c5_two_fold.fold,
+    subsets, q = pvm_from_bfold(c5_two_fold)
+    assert subsets.shape == (10, 2) and q.shape == (10, 5, 5)
+    assert [tuple(t) for t in subsets.tolist()] == sorted(
+        (a, b) for a in range(5) for b in range(a + 1, 5))
+    rebuilt = bfold_from_pvm(subsets, q, c5_two_fold.colors, c5_two_fold.fold,
                              c5_two_fold.graph_dim, c5_two_fold.ancilla_dim)
-    assert len(rebuilt.projections) == len(c5_two_fold.projections)
-    worst = max(np.max(np.abs(a - b)) for a, b in
-                zip(rebuilt.projections, c5_two_fold.projections))
-    assert worst < 1e-12
+    assert rebuilt.projections.shape == c5_two_fold.projections.shape
+    assert np.max(np.abs(rebuilt.projections - c5_two_fold.projections)) < 1e-12
+
+
+@pytest.mark.parametrize("subsets, q, match", [
+    (np.zeros((1, 2)), np.zeros((1, 2, 2)), "integer"),
+    (np.zeros((1, 2), dtype=bool), np.zeros((1, 2, 2)), "integer"),
+    (np.zeros(2, dtype=int), np.zeros((2, 2, 2)), "integer"),
+    (np.array([[0, -1]]), np.zeros((1, 2, 2)), "outside"),
+    (np.array([[0, 10 ** 8]]), np.zeros((1, 2, 2)), "outside"),
+    (np.array([[0, 1], [1, 2]]), np.zeros((1, 2, 2)), "shape"),
+    (np.array([[0, 1]]), np.zeros((1, 2, 3)), "shape"),
+    (np.array([[0, 1]]), np.zeros((1, 3, 3)), "shape")],
+    ids=["float", "bool", "one-dim", "negative", "past-the-palette",
+         "rows", "not-square", "wrong-dimension"])
+def test_bfold_from_pvm_rejects_malformed_families(subsets, q, match):
+    """Each is refused with a ValueError before the colors are formed: the
+    palette of 10**8 colors of dimension 2 (6 GiB) is past the dense guard,
+    so a check that came after the guard would raise SizeGuardError instead,
+    and np.add.at would wrap a negative color silently."""
+    with pytest.raises(ValueError, match=match):
+        bfold_from_pvm(subsets, q, 10 ** 8, 2, 2, 1)
 
 
 def test_pvm_from_bfold_needs_commuting_projections():

@@ -1,5 +1,9 @@
 """Kraus-family homomorphism certificates for the product inclusions."""
 
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,38 @@ def test_factor_argument_validation():
     g = qg.from_classical(qg.complete(2))
     with pytest.raises(ValueError):
         hedetniemi_witness(g, g, factor=3)
+
+
+# the guard message that must refuse each hostile family, and the source
+# that builds the graph g and the certificate in the child
+HOSTILE = {
+    "pairs": ("the Kraus pair stack of shape (120, 120, 56, 8, 8)",
+              "g = qg.from_classical(qg.complete(8))\n"
+              "rng = np.random.default_rng(0)\n"
+              "f = rng.standard_normal((120, 8, 64)) + 1j * rng.standard_normal((120, 8, 64))\n"
+              "cert = qg.HomomorphismCertificate(8, 8, 8, f)"),
+    "products": ("the Kraus product stack of shape (1, 20000, 20000)",
+                 "g = qg.from_classical(qg.ClassicalGraph(1, []))\n"
+                 "cert = qg.HomomorphismCertificate(1, 1, 20000, np.ones((1, 1, 20000)))")}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_kraus_families_are_refused_before_their_stacks(case):
+    """Refused by the guard its message names, in a child capped at 1.5 GB
+    of address space, so a missing guard fails fast with a MemoryError:
+    - K8 -> K8 with 120 seeded 8 x 64 Kraus operators on ancilla 8, a 1 MB
+      certificate whose F_i Y F_j* stack over the 56 edge operators takes
+      0.77 GiB
+    - one 1 x 20000 Kraus operator on the 1-vertex graph, a 320 KB
+      certificate whose F* F stack takes 6 GiB"""
+    message, setup = HOSTILE[case]
+    code = ("import sys\nimport numpy as np\nimport quantumgraphs as qg\n"
+            + setup + "\ntry:\n    qg.verify_homomorphism(g, g, cert)\n"
+            "except qg.SizeGuardError as e:\n"
+            "    sys.exit('size guard: %s' % e)\n")
+    cap = 1536 << 20
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert child.stderr.startswith("size guard: " + message), child.stderr[-500:]
+    assert "Traceback" not in child.stderr

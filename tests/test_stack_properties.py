@@ -9,7 +9,7 @@ sets) and on the same certificates conjugated by a seeded Haar unitary.
 ``projection_meet`` the meet of each pair, to the last few ulps. Under a
 small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
 returns a stack within the limit, and so does every stack whose norms the
-b-fold verifier and the subset PVM take. Hypothesis runs derandomized with a
+b-fold verifier, the subset PVM and the homomorphism verifier take. Hypothesis runs derandomized with a
 fixed example count and no example database, so every run checks the same
 inputs.
 """
@@ -23,11 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from quantumgraphs import coloring, qgraph
 from quantumgraphs.classical import ClassicalGraph, SizeGuardError, complete
-from quantumgraphs.coloring import (ColoringCertificate, bfold_from_pvm,
+from quantumgraphs.coloring import (ColoringCertificate, HomomorphismCertificate,
                                     categorical_lift, combine_bfold,
                                     lexicographic_coloring, pvm_from_bfold,
-                                    scale_bfold, strong_coloring, verify_bfold)
-from quantumgraphs.opspace import permute_systems, projection_meet
+                                    scale_bfold, strong_coloring, verify_bfold,
+                                    verify_homomorphism)
+from quantumgraphs.opspace import OperatorSubspace, permute_systems, projection_meet
 from quantumgraphs.qgraph import from_classical
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -113,7 +114,7 @@ def test_lexicographic_coloring_matches_the_loop(data):
     out = lexicographic_coloring(cg, ch)
     size = cg.total_dim * ch.total_dim
     want = [np.zeros((size, size), dtype=complex) for _ in range(cg.colors)]
-    for t, q in pvm_from_bfold(cg):
+    for t, q in zip(*pvm_from_bfold(cg)):
         for rank, a in enumerate(t):
             want[a] = want[a] + permute_one(np.kron(q, ch.projections[rank]),
                                             legs(cg, ch), [0, 2, 1, 3])
@@ -140,16 +141,21 @@ def meet_one(p, q, tol=1e-9):
 
 def combine_loop(c1, c2):
     """Reference combine_bfold: np.kron embeddings, one permute_systems
-    call, a meet per pair of subsets and bfold_from_pvm."""
+    call, a meet per pair of subsets, and each meet added into the colors of
+    its subset one at a time (not through bfold_from_pvm, which
+    combine_bfold calls)."""
     n, d1, d2 = c1.graph_dim, c1.ancilla_dim, c2.ancilla_dim
-    f1, f2 = pvm_from_bfold(c1), pvm_from_bfold(c2)
-    a = np.kron(np.array([q for _, q in f1]), np.eye(d2))
-    b = permute_systems(np.kron(np.array([q for _, q in f2]), np.eye(d1)),
-                        [n, d2, d1], [0, 2, 1])
-    family = [(s + tuple(x + c1.colors for x in t), meet_one(a_s, b_t))
-              for (s, _), a_s in zip(f1, a) for (t, _), b_t in zip(f2, b)]
-    return bfold_from_pvm(family, c1.colors + c2.colors, c1.fold + c2.fold,
-                          n, d1 * d2)
+    (s1, q1), (s2, q2) = pvm_from_bfold(c1), pvm_from_bfold(c2)
+    a = np.kron(q1, np.eye(d2))
+    b = permute_systems(np.kron(q2, np.eye(d1)), [n, d2, d1], [0, 2, 1])
+    dim = n * d1 * d2
+    projs = np.zeros((c1.colors + c2.colors, dim, dim), dtype=complex)
+    for s, a_s in zip(s1.tolist(), a):
+        for t, b_t in zip(s2.tolist(), b):
+            meet = meet_one(a_s, b_t)
+            for color in s + [x + c1.colors for x in t]:
+                projs[color] += meet
+    return ColoringCertificate(n, d1 * d2, c1.fold + c2.fold, projs)
 
 
 def empty_graph(n):
@@ -253,3 +259,35 @@ def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
             except SizeGuardError:
                 continue
             assert max(sizes, default=0) <= limit
+
+
+@given(st.data(), st.integers(0, 60))
+@FIXED
+def test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
+    """Every stack verify_homomorphism projects through max_residual, the
+    F_i Y F_j* over all pairs of Kraus operators and every edge or commutant
+    operator Y, is refused or fits within a limit of ``matrices`` matrices
+    of the target's dimension, on random Kraus families from K_n to K_n."""
+    n, d, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    graph = from_classical(complete(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    shape = (k, n, n * d)
+    hom = HomomorphismCertificate(n, n, d, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+    limit = 16 * matrices * n * n
+    sizes = []
+
+    def spy(residual):
+        def wrapped(space, x):
+            sizes.append(x.nbytes)
+            return residual(space, x)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OperatorSubspace, "max_residual", spy(OperatorSubspace.max_residual))
+        mp.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
+        try:
+            verify_homomorphism(graph, graph, hom)
+        except SizeGuardError:
+            return
+    assert max(sizes, default=0) <= limit
