@@ -449,8 +449,6 @@ def chromatic_exact(g: ClassicalGraph) -> int:
     if n > _CHROMATIC_VERTEX_LIMIT:
         raise SizeGuardError("chromatic_exact supports at most %d vertices, got %d"
                              % (_CHROMATIC_VERTEX_LIMIT, n))
-    if not g.edges:
-        return 1
     adj = _adjacency_masks(g)
     full = (1 << n) - 1
     twins = _twin_groups(adj)
@@ -548,10 +546,6 @@ def bfold_exact(g: ClassicalGraph, b: int):
     if n > _BFOLD_VERTEX_LIMIT[b]:
         raise SizeGuardError("bfold_exact at fold %d supports at most %d vertices, got %d"
                              % (b, _BFOLD_VERTEX_LIMIT[b], n))
-    if not g.edges:
-        witness = BFoldAssignment(b, b, tuple(frozenset(range(b)) for _ in range(n)))
-        witness.validate(g)
-        return b, witness
     adj = _adjacency_masks(g)
     co_adj = _complement_masks(adj)
     full = (1 << n) - 1

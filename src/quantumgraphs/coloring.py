@@ -22,9 +22,10 @@ from math import comb, prod
 import numpy as np
 
 from .classical import BFoldAssignment, ClassicalGraph
-from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms,
-                      _projection_residual, _worst, adjoint, as_matrix,
-                      check_unitary, hs_norm, permute_systems, projection_meet)
+from .opspace import (DEFAULT_TOL, _hs_norms, _projection_residual, _worst,
+                      adjoint, as_matrix, check_unitary, hs_norm, projection_meet)
+# not called here; bench/test_spans.py patches it through this module
+from .opspace import permute_systems  # noqa: F401
 from .qgraph import BlockAlgebra, QuantumGraph, check_dense_size
 from .report import VerificationFailure, VerificationReport
 
@@ -122,22 +123,21 @@ def _lift(a: np.ndarray, b: np.ndarray, a_legs: tuple, b_legs: tuple) -> np.ndar
     """A_i (x) B_j over the stacks a on legs (graph_a, anc_a) and b on legs
     (graph_b, anc_b), paired by broadcasting their leading axes, with the
     legs in a certificate's product order (graph_a, graph_b, anc_a, anc_b).
-    The output is refused past DENSE_BYTES_LIMIT before it is formed."""
+    Each factor's row and column legs are spread over the axes of that order,
+    so the one broadcast product is the output, which is refused past
+    DENSE_BYTES_LIMIT before it is formed."""
     (ga, na), (gb, nb) = a_legs, b_legs
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     d = ga * na * gb * nb
     check_dense_size(16 * prod(lead) * d * d,
                      "the lifted stack of shape %r" % (lead + (d, d),))
-    x = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return permute_systems(x.reshape(lead + (d, d)), [ga, na, gb, nb], [0, 2, 1, 3])
+    x = (a.reshape(a.shape[:-2] + (ga, 1, na, 1, ga, 1, na, 1))
+         * b.reshape(b.shape[:-2] + (1, gb, 1, nb, 1, gb, 1, nb)))
+    return x.reshape(lead + (d, d))
 
 
 # ---------------------------------------------------------------------------
 # verifiers
-
-def _membership_space(m: BlockAlgebra, ancilla_dim: int) -> OperatorSubspace:
-    return m.tensor(BlockAlgebra.full(ancilla_dim)).basis()
-
 
 def _with_ancilla(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
     """X (x) I_ancilla for each X of a (k, n, n) stack."""
@@ -198,18 +198,31 @@ def _pvm_pair_residuals(q: np.ndarray, member: np.ndarray,
     return np.max(ortho, initial=0.0), np.max(qcol, initial=0.0)
 
 
+def _opened_report(graph: QuantumGraph, cert: ColoringCertificate, kind: str,
+                   tol: float) -> VerificationReport:
+    """The report both coloring verifiers open with, titled "<kind>coloring
+    certificate": the checks that every P_a is a projection and lies in
+    M (x) B(C^d). Raises when the certificate is for another graph
+    dimension."""
+    if graph.n != cert.graph_dim:
+        raise ValueError("certificate graph dimension %d does not match graph %d"
+                         % (cert.graph_dim, graph.n))
+    rep = VerificationReport("%scoloring certificate (%d colors, type %s)"
+                             % (kind, cert.colors, cert.strategy_type))
+    p = cert.projections
+    rep.add("projections", _projection_residual(p), tol)
+    memb = graph.M.tensor(BlockAlgebra.full(cert.ancilla_dim)).basis()
+    rep.add("algebra_membership", memb.max_residual(p), tol)
+    return rep
+
+
 def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
                     tol: float = DEFAULT_TOL) -> VerificationReport:
     """Verify a fold-1 coloring certificate against a quantum graph."""
     if cert.fold != 1:
         raise ValueError("verify_coloring handles fold 1; use verify_bfold")
-    _check_cert_graph(graph, cert)
-    rep = VerificationReport("coloring certificate (%d colors, type %s)"
-                             % (cert.colors, cert.strategy_type))
+    rep = _opened_report(graph, cert, "", tol)
     p = cert.projections
-    rep.add("projections", _projection_residual(p), tol)
-    memb = _membership_space(graph.M, cert.ancilla_dim)
-    rep.add("algebra_membership", memb.max_residual(p), tol)
     rep.add("sum_to_identity",
             hs_norm(p.sum(axis=0) - np.eye(cert.total_dim)), tol)
     rep.add("coloring_condition",
@@ -234,14 +247,9 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     exactly zero. A non-finite entry in the products or the edge basis
     keeps all C(c, b) subsets, so its NaN reaches every pair it touches.
     """
-    _check_cert_graph(graph, cert)
     b, c = cert.fold, cert.colors
-    rep = VerificationReport("%d-fold coloring certificate (%d colors, type %s)"
-                             % (b, c, cert.strategy_type))
+    rep = _opened_report(graph, cert, "%d-fold " % b, tol)
     p = cert.projections
-    rep.add("projections", _projection_residual(p), tol)
-    memb = _membership_space(graph.M, cert.ancilla_dim)
-    rep.add("algebra_membership", memb.max_residual(p), tol)
     rep.add("commutation", np.max(_commutators(p), initial=0.0), tol)
 
     subsets, q = _subset_products(p, b)
@@ -262,12 +270,6 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     _, long_products = _subset_products(p, b + 1)
     rep.add("long_products_vanish", _worst(long_products), tol)
     return rep
-
-
-def _check_cert_graph(graph: QuantumGraph, cert: ColoringCertificate) -> None:
-    if graph.n != cert.graph_dim:
-        raise ValueError("certificate graph dimension %d does not match graph %d"
-                         % (cert.graph_dim, graph.n))
 
 
 def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
@@ -343,9 +345,12 @@ def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     """Trade one fold for at least one color: a passing b-fold c-coloring
     yields a (b-1)-fold coloring on strictly fewer colors.
 
-    Running intersections peel off a resolution of identity: with
-    T_a = P_a (I - sum_{m < a} T_m), the differences P_a - T_a form the new
-    certificate; color 0 always retires, and zero projections are pruned.
+    Every b-subset T of the input's subset PVM drops its smallest color, and
+    bfold_from_pvm sums the products back: P'_a is the sum of the Q_T whose
+    T holds a and a smaller color. That is P_a less the running
+    intersection T_a = P_a (I - sum_{m < a} T_m) = sum_{min T = a} Q_T of a
+    passing certificate. Color 0 is the smallest color of every subset that
+    holds it, so it always retires, and zero projections are pruned.
     Returns (certificate, mapping) where mapping[i] is the original color of
     new color i. The input is verified first and a failing input raises.
     """
@@ -354,19 +359,10 @@ def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     rep = verify_bfold(graph, cert, tol)
     if not rep.passed:
         raise VerificationFailure("input certificate fails b-fold verification",
-                                  rep, cert)
-    p = cert.projections
-    d = cert.total_dim
-    eye = np.eye(d)
-    tsum = np.zeros((d, d), dtype=np.complex128)
-    reduced = []
-    for a in range(cert.colors):
-        t_a = p[a] @ (eye - tsum)
-        tsum = tsum + t_a
-        reduced.append(p[a] - t_a)
-    out = ColoringCertificate(cert.graph_dim, cert.ancilla_dim, cert.fold - 1,
-                              reduced)
-    return out.pruned(tol)
+                                  rep)
+    subsets, q = _subset_products(cert.projections, cert.fold)
+    return bfold_from_pvm(subsets[:, 1:], q, cert.colors, cert.fold - 1,
+                          cert.graph_dim, cert.ancilla_dim).pruned(tol)
 
 
 def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
@@ -554,7 +550,7 @@ def complete_lower_bound_extract(graph: QuantumGraph,
     rep_in = verify_bfold(graph, cert, tol)
     if not rep_in.passed:
         raise VerificationFailure("certificate fails b-fold verification",
-                                  rep_in, cert)
+                                  rep_in)
     d, k = graph.M.blocks[0]
     n, dn = graph.n, cert.ancilla_dim
     u = graph.M.conjugator

@@ -135,7 +135,7 @@ class BlockAlgebra:
         Blocks are the pairwise products (n_r n_s, k_r k_s), in order r
         then s. Copy (i, j) and index (p, q) of block (r, s) sit at
         (o_r + i k_r + p) n2 + (o_s + j k_s + q) in the Kronecker order, so
-        the conjugator is U1 (x) U2, or I when neither factor has one, with
+        the conjugator is U1 (x) U2, with I for a factor that has none and
         its columns taken in that order.
         """
         n2 = other.ambient_dim
@@ -146,11 +146,9 @@ class BlockAlgebra:
                  for (ns, ks), o2 in zip(other.blocks, other._offsets)
                  for i in range(nr) for j in range(ns)
                  for p in range(kr) for q in range(ks)]
-        if self.conjugator is None and other.conjugator is None:
-            u = np.eye(self.ambient_dim * n2, dtype=np.complex128)
-        else:
-            u = np.kron(self._frame(), other._frame())
-        return BlockAlgebra(tuple(blocks), u.take(order, axis=1))
+        n = self.ambient_dim * n2
+        u = self._frame()[:, None, :, None] * other._frame()[None, :, None, :]
+        return BlockAlgebra(tuple(blocks), u.reshape(n, n).take(order, axis=1))
 
     def conjugated_by(self, u) -> "BlockAlgebra":
         """The algebra u* M u (same blocks, updated conjugator)."""

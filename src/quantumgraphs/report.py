@@ -77,12 +77,9 @@ class VerificationReport:
 class VerificationFailure(RuntimeError):
     """Raised when a construction or precondition fails verification.
 
-    Carries the report (and the offending object, when one was built) so a
-    failed construction is still inspectable.
+    Carries the report, so the failed checks are still inspectable.
     """
 
-    def __init__(self, message: str, report: VerificationReport | None = None,
-                 artifact=None):
+    def __init__(self, message: str, report: VerificationReport | None = None):
         super().__init__(message)
         self.report = report
-        self.artifact = artifact

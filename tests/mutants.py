@@ -49,8 +49,9 @@ HOMOMORPHISM_GUARD_PROPERTY = ("tests/test_stack_properties.py::"
                                "test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit")
 HOSTILE_KRAUS = ("tests/test_homomorphisms.py::"
                  "test_hostile_kraus_families_are_refused_before_their_stacks")
-VERIFIER_GUARD_PROPERTY = ("tests/test_stack_properties.py::"
-                           "test_verifier_stacks_refuse_or_fit_under_the_dense_limit")
+VERIFIER_GUARD_WINDOWS = ("tests/test_stack_properties.py::"
+                          "test_verifier_stacks_at_their_narrow_windows")
+REDUCE_ORACLE = "tests/test_reduce_oracle.py"
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,18 @@ MUTANTS = [
            "lo = max(lo, clique_demand(demand) + 1)",
            (BFOLD_RANDOM, BFOLD_BEYOND)),
     Mutant("reduce-bfold-unpruned", "coloring.py",
-           "return out.pruned(tol)",
-           "return out",
+           "cert.ancilla_dim).pruned(tol)",
+           "cert.ancilla_dim).pruned(-1.0)",
            ("tests/test_certificate_properties.py::"
             "test_reduce_bfold_passes_one_fold_lower_on_fewer_colors",
             "tests/test_coloring.py::test_reduce_bfold_drops_a_color")),
+    # dropping each subset's largest color still leaves a passing coloring
+    # on fewer colors; only the running-intersection oracle tells them apart
+    Mutant("reduce-drops-largest-color", "coloring.py",
+           "bfold_from_pvm(subsets[:, 1:], q,",
+           "bfold_from_pvm(subsets[:, :-1], q,",
+           (REDUCE_ORACLE + "::test_local_certificates_reduce_bitwise_as_the_loop",
+            REDUCE_ORACLE + "::test_conjugated_certificates_reduce_as_the_loop")),
     Mutant("scale-bfold-one-copy-short", "coloring.py",
            "for _ in range(b - 1):",
            "for _ in range(b - 2):",
@@ -201,11 +209,11 @@ MUTANTS = [
     Mutant("commutators-unguarded", "coloring.py",
            'check_dense_size(16 * prod(shape), "the commutator stack',
            'check_dense_size(0, "the commutator stack',
-           (GUARDED + "[commutators]", VERIFIER_GUARD_PROPERTY)),
+           (GUARDED + "[commutators]", VERIFIER_GUARD_WINDOWS + "[commutators]")),
     Mutant("pvm-pairs-unguarded", "coloring.py",
            'check_dense_size(16 * prod(shape), "the PVM pair stack',
            'check_dense_size(0, "the PVM pair stack',
-           (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_PROPERTY)),
+           (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_WINDOWS + "[pvm-pairs]")),
     Mutant("homomorphism-stacks-unguarded", "coloring.py",
            'check_dense_size(16 * prod(shape), "the Kraus pair stack',
            'check_dense_size(0, "the Kraus pair stack',

@@ -197,10 +197,17 @@ def test_bfold_subadditive_in_fold():
     assert (v1, v2, v3) == (3, 5, 8)
 
 
-def test_bfold_edgeless():
-    value, witness = bfold_exact(ClassicalGraph(4, []), 3)
-    assert value == 3
-    witness.validate(ClassicalGraph(4, []))
+@pytest.mark.parametrize("n", [1, 2, 4, 12])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_bfold_edgeless(n, b):
+    """The general searches find an edgeless graph's one color and b colors,
+    and give every vertex all b of them."""
+    g = ClassicalGraph(n, [])
+    assert chromatic_exact(g) == 1
+    value, witness = bfold_exact(g, b)
+    assert value == b
+    assert witness.assignment == (frozenset(range(b)),) * n
+    witness.validate(g)
 
 
 def test_bfold_assignment_validation():

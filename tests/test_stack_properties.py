@@ -9,11 +9,14 @@ sets) and on the same certificates conjugated by a seeded Haar unitary.
 ``projection_meet`` the meet of each pair, to the last few ulps. Under a
 small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
 returns a stack within the limit, and so does every stack whose norms the
-b-fold verifier, the subset PVM and the homomorphism verifier take. Hypothesis runs derandomized with a
-fixed example count and no example database, so every run checks the same
-inputs.
+b-fold verifier, the subset PVM and the homomorphism verifier take; fixed
+certificates pin the narrow windows of the commutator and PVM pair guards.
+One ``_lift`` call allocates at most 1.1 times the stack its guard counts.
+Hypothesis runs derandomized with a fixed example count and no example
+database, so every run checks the same inputs.
 """
 
+import tracemalloc
 from itertools import combinations
 from math import prod
 
@@ -22,12 +25,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantumgraphs import coloring, qgraph
-from quantumgraphs.classical import ClassicalGraph, SizeGuardError, complete
+from quantumgraphs.classical import (ClassicalGraph, SizeGuardError, bfold_exact,
+                                     complete, petersen)
 from quantumgraphs.coloring import (ColoringCertificate, HomomorphismCertificate,
-                                    categorical_lift, combine_bfold,
+                                    bell_coloring, categorical_lift, combine_bfold,
                                     lexicographic_coloring, pvm_from_bfold,
-                                    scale_bfold, strong_coloring, verify_bfold,
-                                    verify_homomorphism)
+                                    scale_bfold, strong_coloring, to_local_cert,
+                                    verify_bfold, verify_homomorphism)
 from quantumgraphs.opspace import OperatorSubspace, permute_systems, projection_meet
 from quantumgraphs.qgraph import from_classical
 
@@ -119,6 +123,48 @@ def test_lexicographic_coloring_matches_the_loop(data):
             want[a] = want[a] + permute_one(np.kron(q, ch.projections[rank]),
                                             legs(cg, ch), [0, 2, 1, 3])
     assert np.array_equal(out.projections, want)
+
+
+def local(g, b):
+    return to_local_cert(g, bfold_exact(g, b)[1])
+
+
+def lift_inputs(shape):
+    """The (a, b, a_legs, b_legs) of one _lift call shaped as the named
+    construction builds it, each giving a stack of 4 to 20 MB: numpy's
+    broadcast keeps a fixed buffer of about 0.25 MB beside it."""
+    bell3, bell4 = bell_coloring(3).projections, bell_coloring(4).projections
+    if shape == "strong":
+        return bell4[:, None], local(petersen(), 1).projections[None], (4, 4), (10, 1)
+    if shape == "lex":
+        _, q = pvm_from_bfold(bell_coloring(4))
+        return q[:, None], local(petersen(), 1).projections[None, :1], (4, 4), (10, 1)
+    if shape == "cat-lift":
+        return bell3, np.eye(24), (3, 3), (24, 1)
+    return from_classical(petersen()).S.basis, np.eye(10), (10, 1), (1, 10)
+
+
+@pytest.mark.parametrize("shape", ["strong", "lex", "cat-lift", "with-ancilla"])
+def test_one_lift_peaks_at_the_stack_its_guard_counts(shape, monkeypatch):
+    """_lift forms its output in one broadcast product and no second copy:
+    the tracemalloc peak of one call is at most 1.1 times the bytes it
+    passes to check_dense_size, which are the bytes of its output."""
+    a, b, a_legs, b_legs = lift_inputs(shape)
+    counts = []
+
+    def spy(nbytes, what):
+        counts.append(nbytes)
+        return qgraph.check_dense_size(nbytes, what)
+
+    monkeypatch.setattr(coloring, "check_dense_size", spy)
+    tracemalloc.start()
+    try:
+        out = coloring._lift(a, b, a_legs, b_legs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [out.nbytes]
+    assert peak <= 1.1 * out.nbytes
 
 
 def test_certificate_fields_are_read_only_stacks():
@@ -229,18 +275,15 @@ def test_constructions_refuse_or_fit_under_the_dense_limit(data, limit):
             assert out.projections.nbytes <= limit
 
 
-@given(st.data(), st.integers(0, 40))
-@FIXED
-def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
-    """The commutator stack and the PVM pair stack are refused or fit: every
-    stack whose norms verify_bfold or pvm_from_bfold takes, through _worst
-    or _hs_norms, is within a limit of ``matrices`` matrices of the
-    certificate's dimension."""
-    b = data.draw(st.integers(1, 3))
-    cert = data.draw(certificates(fold=b, colors=data.draw(st.integers(b, b + 3))))
+def verifier_stack_refusals(cert, matrices):
+    """Run verify_bfold and pvm_from_bfold on ``cert`` against the complete
+    graph under a limit of ``matrices`` matrices of the certificate's
+    dimension. Every stack whose norms a check that is not refused takes,
+    through _worst or _hs_norms, must fit under the limit. Returns the
+    messages of the refusals."""
     graph = from_classical(complete(cert.graph_dim))
     limit = 16 * matrices * cert.total_dim ** 2
-    sizes = []
+    sizes, refused = [], []
 
     def spy(norms):
         def wrapped(x):
@@ -256,9 +299,39 @@ def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
             sizes.clear()
             try:
                 check()
-            except SizeGuardError:
+            except SizeGuardError as exc:
+                refused.append(str(exc))
                 continue
             assert max(sizes, default=0) <= limit
+    return refused
+
+
+@given(st.data(), st.integers(0, 40))
+@FIXED
+def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
+    """The commutator stack and the PVM pair stack are refused or fit."""
+    b = data.draw(st.integers(1, 3))
+    cert = data.draw(certificates(fold=b, colors=data.draw(st.integers(b, b + 3))))
+    verifier_stack_refusals(cert, matrices)
+
+
+@pytest.mark.parametrize("sets, colors, matrices, guard", [
+    # fold 1 on 2 vertices: pvm_from_bfold's 5 subset products fit under 8
+    # matrices, its C(5, 2) = 10 commutators do not
+    ([(0,), (1,)], 5, 8, "the commutator stack"),
+    # fold 2 on K3, one pair of 3 colors per vertex: every other stack of
+    # verify_bfold fits under 8 matrices, but each of the 3 live subsets
+    # overlaps 2 others, against 6 edge operators each
+    ([(0, 1), (0, 2), (1, 2)], 3, 8, "the PVM pair stack"),
+], ids=["commutators", "pvm-pairs"])
+def test_verifier_stacks_at_their_narrow_windows(sets, colors, matrices, guard):
+    """Fixed certificates where only the named guard stands between a check
+    and a stack past the limit, so its refusal does not depend on the
+    examples the property draws."""
+    projs = [np.diag([1.0 if a in s else 0.0 for s in sets]) for a in range(colors)]
+    cert = ColoringCertificate(len(sets), 1, len(sets[0]), projs)
+    refused = verifier_stack_refusals(cert, matrices)
+    assert any(guard in msg for msg in refused)
 
 
 @given(st.data(), st.integers(0, 60))
