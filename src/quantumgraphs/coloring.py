@@ -21,9 +21,11 @@ from math import comb, prod
 
 import numpy as np
 
+from . import qgraph
 from .classical import BFoldAssignment, ClassicalGraph
-from .opspace import (DEFAULT_TOL, _hs_norms, _projection_residual, _worst,
-                      adjoint, as_matrix, check_unitary, hs_norm, projection_meet)
+from .opspace import (DEFAULT_TOL, RANK_CUTOFF, _hs_norms, _projection_residual,
+                      _worst, adjoint, as_matrix, check_unitary, hs_norm,
+                      projection_meet)
 # not called here; bench/test_spans.py patches it through this module
 from .opspace import permute_systems  # noqa: F401
 from .qgraph import BlockAlgebra, QuantumGraph, check_dense_size
@@ -144,18 +146,89 @@ def _with_ancilla(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
     return _lift(stack, np.eye(ancilla_dim), (stack.shape[-1], 1), (1, ancilla_dim))
 
 
+def _ranges(p: np.ndarray) -> tuple:
+    """(A, B, top, lost) for a (c, N, N) stack, from each matrix's range:
+    with the SVD P = U S V* and the singular values above RANK_CUTOFF *
+    max(1, s_max) kept, A = S V* (c, R, N) and B = U S (c, N, R),
+    zero-padded to the largest kept rank R; top is s_max and lost the
+    largest dropped singular value, 0 for none.
+
+    Then P X Q = U_P (A_P X B_Q) V_Q* for the kept parts of any square P
+    and Q, and projecting onto them only shrinks P X Q, so the dense
+    ||P X Q|| lies between ||A_P X B_Q|| and it plus the bound ||X||
+    (lost_P top_Q + top_P lost_Q), ||X|| the HS norm: the dropped part of
+    P has operator norm lost_P. On projections the bound is about
+    1e-16 ||X||. A matrix with a non-finite entry is zeroed before the
+    SVD and gets top NaN, so every bound and residual it enters is NaN, as
+    0 * NaN is in the dense product. The singular vectors and both ranges
+    are refused past DENSE_BYTES_LIMIT before the SVD, at R = N."""
+    c, n = p.shape[:2]
+    check_dense_size(64 * c * n * n, "the singular vectors and ranges of %d "
+                     "matrices of dimension %d" % (c, n))
+    bad = ~np.isfinite(p).all(axis=(1, 2))
+    u, s, vh = np.linalg.svd(np.where(bad[:, None, None], 0.0, p))
+    keep = s > RANK_CUTOFF * np.maximum(1.0, s[:, :1])
+    r = int(keep.sum(axis=1).max(initial=0))
+    w = np.where(keep, s, 0.0)[:, :r]
+    a = w[:, :, None] * vh[:, :r]
+    b = u[:, :, :r] * w[:, None, :]
+    top = np.where(bad, np.nan, s[:, 0])
+    lost = np.where(keep, 0.0, s).max(axis=1, initial=0.0)
+    return a, b, top, lost
+
+
+def _side_by_side(edge_ops: np.ndarray) -> np.ndarray:
+    """The k operators of a (k, N, N) stack side by side, (N, k N), so that
+    one matmul multiplies a stack of rows by all of them."""
+    k, n = edge_ops.shape[:2]
+    return edge_ops.transpose(1, 0, 2).reshape(n, k * n)
+
+
 def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
-    """max_a || P_a (X (x) I) P_a || over the edge basis."""
-    return float(np.max([_worst(p @ edge_ops @ p) for p in projs], initial=0.0))
+    """max_a || P_a X P_a || over the edge operators X, as ||A_a X B_a|| plus
+    the bound of _ranges: the rows of every A_a times the edge operators
+    side by side in one matmul, then one matmul by B_a per color. The
+    operators side by side and one color's products are refused past
+    DENSE_BYTES_LIMIT, and the colors go in chunks that keep both within it."""
+    if not (len(projs) and len(edge_ops)):
+        return 0.0
+    a, b, top, lost = _ranges(projs)
+    c, r, n = a.shape
+    k = len(edge_ops)
+    side, one = 16 * k * n * n, 16 * k * r * (n + r)
+    check_dense_size(side + one, "the edge operators side by side and the range "
+                     "sandwich of one color (%d edge operators, rank %d, dimension "
+                     "%d)" % (k, r, n))
+    width = max(1, (qgraph.DENSE_BYTES_LIMIT - side) // max(1, one))
+    xs = _side_by_side(edge_ops)
+    slack = 2 * (top * lost)[:, None] * _hs_norms(edge_ops)
+    worst = [0.0]
+    for lo in range(0, c, width):
+        part = a[lo:lo + width]
+        ax = (part.reshape(-1, n) @ xs).reshape(len(part), r * k, n)
+        axb = (ax @ b[lo:lo + width]).reshape(len(part), r, k, r).transpose(0, 2, 1, 3)
+        worst.append(np.max(_hs_norms(axb) + slack[lo:lo + width]))
+    return float(np.max(worst))
 
 
 def _commutators(p: np.ndarray) -> np.ndarray:
     """||P_i P_j - P_j P_i|| for every pair i < j, in np.triu_indices order;
-    the stack of commutators is refused past DENSE_BYTES_LIMIT first."""
+    the stack of commutators is refused past DENSE_BYTES_LIMIT first. The
+    pairs go in chunks whose two gathered factors and two products hold at
+    most half the limit: a call at the limit holds about half its count
+    besides the norms, and a count of at most an eighth of the limit is
+    one chunk."""
     shape = (comb(len(p), 2),) + p.shape[1:]
     check_dense_size(16 * prod(shape), "the commutator stack of shape %r" % (shape,))
     i, j = np.triu_indices(len(p), 1)
-    return _hs_norms(p[i] @ p[j] - p[j] @ p[i])
+    out = np.empty(len(i))
+    width = max(1, qgraph.DENSE_BYTES_LIMIT // (128 * prod(shape[1:])))
+    for lo in range(0, len(i), width):
+        hi = lo + width
+        x = p[i[lo:hi]] @ p[j[lo:hi]]
+        x -= p[j[lo:hi]] @ p[i[lo:hi]]
+        out[lo:hi] = _hs_norms(x)
+    return out
 
 
 def _subset_products(p: np.ndarray, k: int):
@@ -188,14 +261,29 @@ def _pvm_pair_residuals(q: np.ndarray, member: np.ndarray,
                         edge_ops: np.ndarray) -> tuple:
     """max ||Q_S Q_T|| over S < T, and max ||Q_S (X (x) I) Q_T|| over
     overlapping S != T (member[S] marks the colors of S); 0.0 for no pair.
-    The largest stack of one row's partners is refused past
-    DENSE_BYTES_LIMIT before any pair is formed."""
+    Both come from the ranges of _ranges, ||A_S B_T|| and ||A_S X B_T||
+    plus their bounds, one row S against all its partners at a time, A_S
+    times the edge operators side by side in one matmul. Those operators
+    and the largest row, A_S X and its products with the partners' B_T,
+    are refused past DENSE_BYTES_LIMIT before any pair is formed."""
     overlap = (member @ member.T) & ~np.eye(len(q), dtype=bool)
-    shape = (int(overlap.sum(axis=1).max(initial=0)),) + edge_ops.shape
-    check_dense_size(16 * prod(shape), "the PVM pair stack of shape %r" % (shape,))
-    ortho = [_worst(q[s] @ q[s + 1:]) for s in range(len(q))]
-    qcol = [_worst(q[s] @ edge_ops @ q[overlap[s]][:, None]) for s in range(len(q))]
-    return np.max(ortho, initial=0.0), np.max(qcol, initial=0.0)
+    a, b, top, lost = _ranges(q)
+    r, n = a.shape[1:]
+    k = len(edge_ops)
+    shape = (int(overlap.sum(axis=1).max(initial=0)), k, r, r)
+    check_dense_size(16 * (k * n * n + k * r * n + prod(shape)),
+                     "the PVM pair stack of shape %r" % (shape,))
+    xs, xnorm = _side_by_side(edge_ops), _hs_norms(edge_ops)
+    ortho, qcol = [0.0], [0.0]
+    for s in range(len(q)):
+        later, t = slice(s + 1, None), overlap[s]
+        bound = lost[s] * top + top[s] * lost
+        ortho.append((_hs_norms(a[s] @ b[later]) + bound[later]).max(initial=0.0))
+        if t.any():
+            axb = ((a[s] @ xs).reshape(r * k, n) @ b[t]).reshape(t.sum(), r, k, r)
+            qcol.append((_hs_norms(axb.transpose(0, 2, 1, 3))
+                         + bound[t][:, None] * xnorm).max(initial=0.0))
+    return np.max(ortho), np.max(qcol)
 
 
 def _opened_report(graph: QuantumGraph, cert: ColoringCertificate, kind: str,
@@ -211,7 +299,7 @@ def _opened_report(graph: QuantumGraph, cert: ColoringCertificate, kind: str,
                              % (kind, cert.colors, cert.strategy_type))
     p = cert.projections
     rep.add("projections", _projection_residual(p), tol)
-    memb = graph.M.tensor(BlockAlgebra.full(cert.ancilla_dim)).basis()
+    memb = graph.M.tensor(BlockAlgebra.full(cert.ancilla_dim))
     rep.add("algebra_membership", memb.max_residual(p), tol)
     return rep
 
@@ -241,12 +329,20 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     overlapping subsets; omitted when there are fewer colors than the fold),
     and vanishing of (b+1)-fold products. The pairwise PVM checks run over
     the k subsets whose product Q_S has a nonzero entry, one against all
-    later or overlapping partners: time O(k^2 * dim S * d^3) and memory
-    O(k * dim S * d^2). A passing certificate has k <= d, and a local one
+    later or overlapping partners, on the ranges of rank at most r that
+    _ranges gives: time O(k dim S r d (d + k r)) after k SVDs, and memory
+    O(dim S r (d + k r)). A passing certificate has k <= d, and a local one
     has as many as there are distinct vertex color sets; a skipped pair is
     exactly zero. A non-finite entry in the products or the edge basis
     keeps all C(c, b) subsets, so its NaN reaches every pair it touches.
     """
+    return _verify_bfold(graph, cert, tol)[0]
+
+
+def _verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
+                  tol: float) -> tuple:
+    """verify_bfold's report, with the b-subsets and their products Q_T
+    that it checked, as _subset_products returns them."""
     b, c = cert.fold, cert.colors
     rep = _opened_report(graph, cert, "%d-fold " % b, tol)
     p = cert.projections
@@ -269,7 +365,7 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
 
     _, long_products = _subset_products(p, b + 1)
     rep.add("long_products_vanish", _worst(long_products), tol)
-    return rep
+    return rep, subsets, q
 
 
 def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
@@ -289,16 +385,15 @@ def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
     rep.add("trace_preserving", hs_norm(tp), tol)
 
     edge_ops = _with_ancilla(source.S.basis, cert.ancilla_dim)
-    src_comm = source.M.commutant().basis()
-    dst_comm = target.M.commutant().basis()
-    yi = _with_ancilla(src_comm.basis, cert.ancilla_dim)
+    yi = _with_ancilla(source.M.commutant().basis().basis, cert.ancilla_dim)
     # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
     shape = (len(fs), len(fs), max(len(edge_ops), len(yi)), target.n, target.n)
     check_dense_size(16 * prod(shape), "the Kraus pair stack of shape %r" % (shape,))
     left, right = fs[:, None, None], fs_adj[None, :, None]
     rep.add("edge_space_mapped",
             target.S.max_residual(left @ edge_ops @ right), tol)
-    rep.add("commutant_mapped", dst_comm.max_residual(left @ yi @ right), tol)
+    rep.add("commutant_mapped",
+            target.M.commutant().max_residual(left @ yi @ right), tol)
     return rep
 
 
@@ -356,11 +451,10 @@ def reduce_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     """
     if cert.fold < 2:
         raise ValueError("reduce_bfold needs fold >= 2")
-    rep = verify_bfold(graph, cert, tol)
+    rep, subsets, q = _verify_bfold(graph, cert, tol)
     if not rep.passed:
         raise VerificationFailure("input certificate fails b-fold verification",
                                   rep)
-    subsets, q = _subset_products(cert.projections, cert.fold)
     return bfold_from_pvm(subsets[:, 1:], q, cert.colors, cert.fold - 1,
                           cert.graph_dim, cert.ancilla_dim).pruned(tol)
 

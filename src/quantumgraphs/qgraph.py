@@ -113,6 +113,53 @@ class BlockAlgebra:
             units = u @ units @ u.conj().T
         return OperatorSubspace(n, units)
 
+    def max_residual(self, stack) -> float:
+        """Largest relative residual ||x - Ex|| / max(1, ||x||) over a stack
+        of matrices x, E the HS-orthogonal projection onto this algebra: the
+        contract of OperatorSubspace.max_residual, with no basis formed.
+
+        E is the conditional expectation in the standard frame: with
+        Y = U* x U, it keeps each block's diagonal copies, each replaced by
+        their average (1/n_r) sum_i Y_ii, and zeroes everything else, so
+        ||x - Ex|| is the hypot of two sums taken directly, not as a
+        difference of norms: the entries of Y off the copies, and each
+        copy's deviation from its block's average. Y is x itself with no
+        conjugator. Each run of equal blocks is gathered at once, so D_n
+        has no loop per block; a block with one copy has no deviation, and
+        a full algebra leaves nothing off its one copy. The copies are
+        zeroed by a product with 0, which turns a NaN or Inf into NaN, so a
+        non-finite entry gives a non-finite result; ``stack`` is never
+        written to. An empty stack gives 0.0.
+        """
+        arr = np.asarray(stack, dtype=np.complex128)
+        if arr.size == 0:
+            return 0.0
+        n = self.ambient_dim
+        if arr.shape[-2:] != (n, n):
+            raise ValueError("stack of shape %r does not end in (%d, %d)"
+                             % (arr.shape, n, n))
+        x = arr.reshape(-1, n, n)
+        u = self.conjugator
+        y = x.copy() if u is None else u.conj().T @ x @ u
+        deviations = []
+        end = 0
+        for (mult, k), run in itertools.groupby(self.blocks):
+            # copy t = b mult + i of the run is copy i of its block b
+            off, copies = end, mult * len(list(run))
+            end = off + copies * k
+            t = np.arange(copies)
+            diag = y[:, off:end, off:end].reshape(len(y), copies, k, copies, k)
+            if mult > 1:
+                g = diag[:, t, :, t].reshape(-1, mult, len(y), k, k)
+                g -= g.sum(axis=1, keepdims=True) / mult
+                deviations.append(_hs_norms(g.transpose(2, 0, 1, 3, 4)
+                                            .reshape(len(y), -1, k)))
+            diag[:, t, :, t] *= 0
+        norms = _hs_norms(y)
+        for dev in deviations:
+            norms = np.hypot(norms, dev)
+        return _max_relative(norms, _hs_norms(x))
+
     def commutant(self) -> "BlockAlgebra":
         """The commutant, again in standard form.
 

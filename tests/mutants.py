@@ -52,6 +52,11 @@ HOSTILE_KRAUS = ("tests/test_homomorphisms.py::"
 VERIFIER_GUARD_WINDOWS = ("tests/test_stack_properties.py::"
                           "test_verifier_stacks_at_their_narrow_windows")
 REDUCE_ORACLE = "tests/test_reduce_oracle.py"
+MEMBERSHIP = "tests/test_structure_properties.py::test_membership_matches_the_basis_route"
+RANGE_SANDWICH = ("tests/test_structure_properties.py::"
+                  "test_range_sandwich_lies_between_dense_and_its_bound")
+RANGE_PAIRS = ("tests/test_structure_properties.py::"
+               "test_range_pairs_lie_between_dense_and_their_bound")
 
 
 @dataclass(frozen=True)
@@ -211,9 +216,17 @@ MUTANTS = [
            'check_dense_size(0, "the commutator stack',
            (GUARDED + "[commutators]", VERIFIER_GUARD_WINDOWS + "[commutators]")),
     Mutant("pvm-pairs-unguarded", "coloring.py",
-           'check_dense_size(16 * prod(shape), "the PVM pair stack',
-           'check_dense_size(0, "the PVM pair stack',
+           "check_dense_size(16 * (k * n * n + k * r * n + prod(shape)),",
+           "check_dense_size(0,",
            (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_WINDOWS + "[pvm-pairs]")),
+    Mutant("ranges-unguarded", "coloring.py",
+           "check_dense_size(64 * c * n * n,",
+           "check_dense_size(0,",
+           (VERIFIER_GUARD_WINDOWS + "[ranges]",)),
+    Mutant("range-sandwich-unguarded", "coloring.py",
+           "check_dense_size(side + one,",
+           "check_dense_size(0,",
+           (VERIFIER_GUARD_WINDOWS + "[range-sandwich]",)),
     Mutant("homomorphism-stacks-unguarded", "coloring.py",
            'check_dense_size(16 * prod(shape), "the Kraus pair stack',
            'check_dense_size(0, "the Kraus pair stack',
@@ -232,10 +245,30 @@ MUTANTS = [
            ("tests/test_qgraph.py::test_conjugate_graph_preserves_axioms",
             "tests/test_coloring.py::test_unitary_invariance_of_bfold_certificates")),
     Mutant("pvm-partners-skipped", "coloring.py",
-           "ortho = [_worst(q[s] @ q[s + 1:]) for s in range(len(q))]",
-           "ortho = [_worst(q[s] @ q[s + 2:]) for s in range(len(q))]",
+           "later, t = slice(s + 1, None), overlap[s]",
+           "later, t = slice(s + 2, None), overlap[s]",
            ("tests/test_verify_oracle.py::"
             "test_random_noncommuting_projections_match_the_oracle",)),
+    # the conditional expectation averages a block's copies: 1/m, not 1/sqrt(m)
+    Mutant("copies-averaged-by-sqrt", "qgraph.py",
+           "g -= g.sum(axis=1, keepdims=True) / mult",
+           "g -= g.sum(axis=1, keepdims=True) / np.sqrt(mult)",
+           (MEMBERSHIP,)),
+    Mutant("conjugator-on-the-wrong-side", "qgraph.py",
+           "y = x.copy() if u is None else u.conj().T @ x @ u",
+           "y = x.copy() if u is None else u @ x @ u.conj().T",
+           (MEMBERSHIP,)),
+    # zeroing the copies by assignment drops a NaN on a one-copy block
+    Mutant("copies-zeroed-by-assignment", "qgraph.py",
+           "diag[:, t, :, t] *= 0",
+           "diag[:, t, :, t] = 0",
+           ("tests/test_structure_properties.py::"
+            "test_a_non_finite_entry_on_a_one_copy_block_gives_nan",)),
+    # ||P X Q|| needs the singular values: A = S V*, not V*
+    Mutant("singular-weights-dropped", "coloring.py",
+           "a = w[:, :, None] * vh[:, :r]",
+           "a = vh[:, :r]",
+           (RANGE_SANDWICH, RANGE_PAIRS)),
     # copy j and index i of a block swap roles in the commutant
     Mutant("commutant-order-unswapped", "qgraph.py",
            "order = [o + j * k + i",

@@ -505,6 +505,25 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+def test_strong_bell4_petersen_lift_verifies_under_the_cap(tmp_path):
+    """The strong lift of Bell4 and a local 3-coloring of Petersen, 48
+    colors of dimension 160, verifies on the strong product within 1.5 GB:
+    membership is taken by conditional expectation with no basis of the
+    algebra, and the coloring condition on each color's range of rank 4."""
+    kq4, pet = tmp_path / "kq4.json", tmp_path / "pet.col"
+    bell4, pet3 = tmp_path / "bell4.json", tmp_path / "pet3.json"
+    ser.save(str(kq4), ser.quantum_graph_to_obj(
+        qg.complete_quantum_graph(qg.BlockAlgebra.full(4))))
+    pet.write_text(qg.to_dimacs(qg.petersen()))
+    ser.save(str(bell4), ser.certificate_to_obj(qg.bell_coloring(4)))
+    _, witness = qg.bfold_exact(qg.petersen(), 1)
+    ser.save(str(pet3), ser.certificate_to_obj(qg.to_local_cert(qg.petersen(), witness)))
+    proc = _capped_cli("color", "transform", "strong-lift", str(bell4), str(pet3),
+                       "--graph-g", str(kq4), "--graph-h", str(pet))
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert proc.stdout.rstrip().endswith("result: PASS")
+
+
 @pytest.mark.parametrize("line", [
     "[" * 100_000 + "]" * 100_000,
     "p edge 5 " + "7 " * 100_000,

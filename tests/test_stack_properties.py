@@ -10,8 +10,9 @@ sets) and on the same certificates conjugated by a seeded Haar unitary.
 small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
 returns a stack within the limit, and so does every stack whose norms the
 b-fold verifier, the subset PVM and the homomorphism verifier take; fixed
-certificates pin the narrow windows of the commutator and PVM pair guards.
-One ``_lift`` call allocates at most 1.1 times the stack its guard counts.
+certificates pin the narrow windows of the commutator, range and PVM pair
+guards. One ``_lift`` call allocates at most 1.1 times the stack its guard
+counts, and one ``_commutators`` call at the limit at most 1.5 times.
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run checks the same inputs.
 """
@@ -167,6 +168,47 @@ def test_one_lift_peaks_at_the_stack_its_guard_counts(shape, monkeypatch):
     assert peak <= 1.1 * out.nbytes
 
 
+@pytest.mark.parametrize("colors", [0, 1, 2, 5, 200])
+def test_commutators_in_chunks_peak_near_their_count(colors, monkeypatch):
+    """_commutators forms its pairs in chunks: the norms are bitwise those
+    of the whole commutator stack. With DENSE_BYTES_LIMIT patched down to
+    the stack its guard counts (200 random projections of dimension 12:
+    44 MiB) one call peaks (tracemalloc) at most 1.5 times that count, and
+    one byte lower the call is refused before anything is allocated."""
+    rng = np.random.default_rng(colors)
+    p = np.array([haar(12, s)[:, :5] @ haar(12, s)[:, :5].conj().T
+                  for s in rng.integers(0, 2 ** 16, colors)]).reshape(colors, 12, 12)
+    i, j = np.triu_indices(colors, 1)
+    want = coloring._hs_norms(p[i] @ p[j] - p[j] @ p[i])
+    count = 16 * len(i) * 144
+    counts = []
+
+    def spy(nbytes, what):
+        counts.append(nbytes)
+        return qgraph.check_dense_size(nbytes, what)
+
+    monkeypatch.setattr(coloring, "check_dense_size", spy)
+    monkeypatch.setattr(qgraph, "DENSE_BYTES_LIMIT", max(count, 1))
+    tracemalloc.start()
+    try:
+        got = coloring._commutators(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert counts == [count]
+    if colors == 200:
+        assert peak <= 1.5 * count
+        monkeypatch.setattr(qgraph, "DENSE_BYTES_LIMIT", count - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="the commutator stack"):
+                coloring._commutators(p)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+
 def test_certificate_fields_are_read_only_stacks():
     empty = ColoringCertificate(2, 3, 1, [])
     assert empty.projections.shape == (0, 6, 6) and empty.colors == 0
@@ -315,21 +357,28 @@ def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
     verifier_stack_refusals(cert, matrices)
 
 
-@pytest.mark.parametrize("sets, colors, matrices, guard", [
+@pytest.mark.parametrize("sets, colors, fold, matrices, guard", [
     # fold 1 on 2 vertices: pvm_from_bfold's 5 subset products fit under 8
     # matrices, its C(5, 2) = 10 commutators do not
-    ([(0,), (1,)], 5, 8, "the commutator stack"),
-    # fold 2 on K3, one pair of 3 colors per vertex: every other stack of
-    # verify_bfold fits under 8 matrices, but each of the 3 live subsets
-    # overlaps 2 others, against 6 edge operators each
-    ([(0, 1), (0, 2), (1, 2)], 3, 8, "the PVM pair stack"),
-], ids=["commutators", "pvm-pairs"])
-def test_verifier_stacks_at_their_narrow_windows(sets, colors, matrices, guard):
+    ([(0,), (1,)], 5, 1, 8, "the commutator stack"),
+    # the same under 12 matrices: the commutators fit, the singular vectors
+    # and ranges of the 5 colors (4 matrices each) do not
+    ([(0,), (1,)], 5, 1, 12, "the singular vectors and ranges"),
+    # one identity color on K4 under 12 matrices: the 12 edge operators and
+    # the 4 matrices of its range fit, but not the operators side by side
+    # with its 12 products A X and A X B, 2 matrices each
+    ([(0,)] * 4, 1, 1, 12, "the range sandwich of one color"),
+    # fold 2 on K3, four identity colors under 24 matrices: every other
+    # stack of verify_bfold fits, but each of the 6 subsets, all of rank 3,
+    # overlaps 4 others, against 6 edge operators each
+    ([(0, 1, 2, 3)] * 3, 4, 2, 24, "the PVM pair stack"),
+], ids=["commutators", "ranges", "range-sandwich", "pvm-pairs"])
+def test_verifier_stacks_at_their_narrow_windows(sets, colors, fold, matrices, guard):
     """Fixed certificates where only the named guard stands between a check
     and a stack past the limit, so its refusal does not depend on the
     examples the property draws."""
     projs = [np.diag([1.0 if a in s else 0.0 for s in sets]) for a in range(colors)]
-    cert = ColoringCertificate(len(sets), 1, len(sets[0]), projs)
+    cert = ColoringCertificate(len(sets), 1, fold, projs)
     refused = verifier_stack_refusals(cert, matrices)
     assert any(guard in msg for msg in refused)
 
@@ -337,10 +386,11 @@ def test_verifier_stacks_at_their_narrow_windows(sets, colors, matrices, guard):
 @given(st.data(), st.integers(0, 60))
 @FIXED
 def test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
-    """Every stack verify_homomorphism projects through max_residual, the
-    F_i Y F_j* over all pairs of Kraus operators and every edge or commutant
-    operator Y, is refused or fits within a limit of ``matrices`` matrices
-    of the target's dimension, on random Kraus families from K_n to K_n."""
+    """Every stack verify_homomorphism projects through a max_residual, the
+    F_i Y F_j* over all pairs of Kraus operators and every edge operator Y
+    (onto the edge space) or commutant operator Y (onto the commutant), is
+    refused or fits within a limit of ``matrices`` matrices of the target's
+    dimension, on random Kraus families from K_n to K_n."""
     n, d, k = (data.draw(st.integers(1, 3)) for _ in range(3))
     graph = from_classical(complete(n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
@@ -358,6 +408,8 @@ def test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit(data, matrices)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OperatorSubspace, "max_residual", spy(OperatorSubspace.max_residual))
+        mp.setattr(qgraph.BlockAlgebra, "max_residual",
+                   spy(qgraph.BlockAlgebra.max_residual))
         mp.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
         try:
             verify_homomorphism(graph, graph, hom)
