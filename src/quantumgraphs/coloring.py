@@ -153,15 +153,16 @@ def _ranges(p: np.ndarray) -> tuple:
     zero-padded to the largest kept rank R; top is s_max and lost the
     largest dropped singular value, 0 for none.
 
-    Then P X Q = U_P (A_P X B_Q) V_Q* for the kept parts of any square P
-    and Q, and projecting onto them only shrinks P X Q, so the dense
-    ||P X Q|| lies between ||A_P X B_Q|| and it plus the bound ||X||
-    (lost_P top_Q + top_P lost_Q), ||X|| the HS norm: the dropped part of
-    P has operator norm lost_P. On projections the bound is about
-    1e-16 ||X||. A matrix with a non-finite entry is zeroed before the
-    SVD and gets top NaN, so every bound and residual it enters is NaN, as
-    0 * NaN is in the dense product. The singular vectors and both ranges
-    are refused past DENSE_BYTES_LIMIT before the SVD, at R = N."""
+    Then P Y Q = U_P (A_P Y B_Q) V_Q* for the kept parts of any square P
+    and Q, and projecting onto them only shrinks P Y Q, so the dense
+    ||P Y Q|| lies between ||A_P Y B_Q|| and it plus the bound ||Y||
+    (lost_P top_Q + top_P lost_Q), ||Y|| the HS norm: the dropped part of
+    P has operator norm lost_P. For Y = X (x) I_d, X on the graph leg,
+    ||Y|| = sqrt(d) ||X||. On projections the bound is about 1e-16 ||Y||.
+    A matrix with a non-finite entry is zeroed before the SVD and gets top
+    NaN, so every bound and residual it enters is NaN, as 0 * NaN is in the
+    dense product. The singular vectors and both ranges are refused past
+    DENSE_BYTES_LIMIT before the SVD, at R = N."""
     c, n = p.shape[:2]
     check_dense_size(64 * c * n * n, "the singular vectors and ranges of %d "
                      "matrices of dimension %d" % (c, n))
@@ -177,38 +178,56 @@ def _ranges(p: np.ndarray) -> tuple:
     return a, b, top, lost
 
 
-def _side_by_side(edge_ops: np.ndarray) -> np.ndarray:
-    """The k operators of a (k, N, N) stack side by side, (N, k N), so that
-    one matmul multiplies a stack of rows by all of them."""
-    k, n = edge_ops.shape[:2]
-    return edge_ops.transpose(1, 0, 2).reshape(n, k * n)
+def _range_sandwich(ranges: tuple, pairs: np.ndarray, ops: np.ndarray) -> float:
+    """max over the pairs (s, t) and the operators X of ||P_s (X (x) I_d) P_t||,
+    as ||A_s (X (x) I_d) B_t|| plus the bound of _ranges, sqrt(d) ||X||
+    (lost_s top_t + top_s lost_t); 0.0 for no pair or no operator.
 
-
-def _sandwich_residual(projs: np.ndarray, edge_ops: np.ndarray) -> float:
-    """max_a || P_a X P_a || over the edge operators X, as ||A_a X B_a|| plus
-    the bound of _ranges: the rows of every A_a times the edge operators
-    side by side in one matmul, then one matmul by B_a per color. The
-    operators side by side and one color's products are refused past
-    DENSE_BYTES_LIMIT, and the colors go in chunks that keep both within it."""
-    if not (len(projs) and len(edge_ops)):
+    ``ranges`` is what _ranges returns for a (c, N, N) stack, ``pairs`` a
+    boolean (c, c) array true at the pairs (s, t), and ``ops`` a (k, n, n)
+    stack on the graph leg, so d = N / n. X (x) I_d is never formed: the A_s
+    of a chunk of rows, split into graph and ancilla legs, meet the
+    operators side by side in one matmul, then, back in leg order, the B_t
+    of their partners, each row padded to the widest by repeating its last.
+    The operators side by side and one row, twice over for its copies,
+    indices and norms, are refused past DENSE_BYTES_LIMIT before any pair
+    is formed, and a chunk holds the rows that fit beside the operators."""
+    a, b, top, lost = ranges
+    k, n = ops.shape[:2]
+    partners = pairs.sum(axis=1)
+    rows = partners.nonzero()[0]
+    if not (len(rows) and k):
         return 0.0
-    a, b, top, lost = _ranges(projs)
-    c, r, n = a.shape
-    k = len(edge_ops)
-    side, one = 16 * k * n * n, 16 * k * r * (n + r)
-    check_dense_size(side + one, "the edge operators side by side and the range "
-                     "sandwich of one color (%d edge operators, rank %d, dimension "
-                     "%d)" % (k, r, n))
-    width = max(1, (qgraph.DENSE_BYTES_LIMIT - side) // max(1, one))
-    xs = _side_by_side(edge_ops)
-    slack = 2 * (top * lost)[:, None] * _hs_norms(edge_ops)
-    worst = [0.0]
-    for lo in range(0, c, width):
-        part = a[lo:lo + width]
-        ax = (part.reshape(-1, n) @ xs).reshape(len(part), r * k, n)
-        axb = (ax @ b[lo:lo + width]).reshape(len(part), r, k, r).transpose(0, 2, 1, 3)
-        worst.append(np.max(_hs_norms(axb) + slack[lo:lo + width]))
-    return float(np.max(worst))
+    r, big = a.shape[1:]
+    d = big // n
+    partners = partners[rows]
+    wide = int(partners.max())
+    side = 16 * k * n * n
+    row = 32 * (r * ((k + 1) * big + wide * (big + k * r)) + 2 * wide)
+    check_dense_size(side + row, "the range sandwich of %d operators of dimension "
+                     "%d (rank %d, ancilla %d, up to %d pairs a row)"
+                     % (k, n, r, d, wide))
+    width = max(1, (qgraph.DENSE_BYTES_LIMIT - side) // row)
+    xs = ops.transpose(1, 0, 2).reshape(n, k * n)
+    xnorm = d ** 0.5 * _hs_norms(ops)
+
+    def chunk(i, count):
+        """The worst of the rows i, with count partners each; a call, so
+        that one chunk's arrays are freed before the next is formed."""
+        m, ends = len(i), count.cumsum()[:, None]
+        t = pairs[i].nonzero()[1][np.minimum(ends - count[:, None] + np.arange(wide),
+                                              ends - 1)]
+        legs = a[i].reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)
+        ax = (legs @ xs).reshape(m, r, d, k, n).transpose(0, 3, 1, 4, 2)
+        axb = ax.reshape(m, 1, k * r, big) @ b[t]
+        bound = lost[i, None] * top[t] + top[i, None] * lost[t]
+        return (_hs_norms(axb.reshape(m, wide, k, r, r))
+                + bound[..., None] * xnorm).max()
+
+    worst = 0.0
+    for lo in range(0, len(rows), width):
+        worst = np.maximum(worst, chunk(rows[lo:lo + width], partners[lo:lo + width]))
+    return float(worst)
 
 
 def _commutators(p: np.ndarray) -> np.ndarray:
@@ -257,35 +276,6 @@ def _live_subsets(q: np.ndarray, edge_ops: np.ndarray) -> np.ndarray:
     return np.arange(len(q))
 
 
-def _pvm_pair_residuals(q: np.ndarray, member: np.ndarray,
-                        edge_ops: np.ndarray) -> tuple:
-    """max ||Q_S Q_T|| over S < T, and max ||Q_S (X (x) I) Q_T|| over
-    overlapping S != T (member[S] marks the colors of S); 0.0 for no pair.
-    Both come from the ranges of _ranges, ||A_S B_T|| and ||A_S X B_T||
-    plus their bounds, one row S against all its partners at a time, A_S
-    times the edge operators side by side in one matmul. Those operators
-    and the largest row, A_S X and its products with the partners' B_T,
-    are refused past DENSE_BYTES_LIMIT before any pair is formed."""
-    overlap = (member @ member.T) & ~np.eye(len(q), dtype=bool)
-    a, b, top, lost = _ranges(q)
-    r, n = a.shape[1:]
-    k = len(edge_ops)
-    shape = (int(overlap.sum(axis=1).max(initial=0)), k, r, r)
-    check_dense_size(16 * (k * n * n + k * r * n + prod(shape)),
-                     "the PVM pair stack of shape %r" % (shape,))
-    xs, xnorm = _side_by_side(edge_ops), _hs_norms(edge_ops)
-    ortho, qcol = [0.0], [0.0]
-    for s in range(len(q)):
-        later, t = slice(s + 1, None), overlap[s]
-        bound = lost[s] * top + top[s] * lost
-        ortho.append((_hs_norms(a[s] @ b[later]) + bound[later]).max(initial=0.0))
-        if t.any():
-            axb = ((a[s] @ xs).reshape(r * k, n) @ b[t]).reshape(t.sum(), r, k, r)
-            qcol.append((_hs_norms(axb.transpose(0, 2, 1, 3))
-                         + bound[t][:, None] * xnorm).max(initial=0.0))
-    return np.max(ortho), np.max(qcol)
-
-
 def _opened_report(graph: QuantumGraph, cert: ColoringCertificate, kind: str,
                    tol: float) -> VerificationReport:
     """The report both coloring verifiers open with, titled "<kind>coloring
@@ -314,8 +304,7 @@ def verify_coloring(graph: QuantumGraph, cert: ColoringCertificate,
     rep.add("sum_to_identity",
             hs_norm(p.sum(axis=0) - np.eye(cert.total_dim)), tol)
     rep.add("coloring_condition",
-            _sandwich_residual(p, _with_ancilla(graph.S.basis, cert.ancilla_dim)),
-            tol)
+            _range_sandwich(_ranges(p), np.eye(len(p), dtype=bool), graph.S.basis), tol)
     return rep
 
 
@@ -330,8 +319,11 @@ def verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     and vanishing of (b+1)-fold products. The pairwise PVM checks run over
     the k subsets whose product Q_S has a nonzero entry, one against all
     later or overlapping partners, on the ranges of rank at most r that
-    _ranges gives: time O(k dim S r d (d + k r)) after k SVDs, and memory
-    O(dim S r (d + k r)). A passing certificate has k <= d, and a local one
+    _ranges gives, with each edge operator X acting on the graph leg of
+    dimension n alone (d = n times the ancilla): time O(k dim S r d (n + k
+    r)) after k SVDs, and memory O(dim S (n^2 + r d + k r^2)) for the
+    widest row. Each residual adds the bound of _ranges, whose ||X (x) I||
+    is sqrt(d / n) ||X||. A passing certificate has k <= d, and a local one
     has as many as there are distinct vertex color sets; a skipped pair is
     exactly zero. A non-finite entry in the products or the edge basis
     keeps all C(c, b) subsets, so its NaN reaches every pair it touches.
@@ -352,19 +344,26 @@ def _verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     rep.add("partition_of_identity",
             hs_norm(q.sum(axis=0) - np.eye(cert.total_dim)), tol)
 
-    edge_ops = _with_ancilla(graph.S.basis, cert.ancilla_dim)
-    rep.add("coloring_condition", _sandwich_residual(p, edge_ops), tol)
+    edge_ops, ranges = graph.S.basis, _ranges(p)
+    rep.add("coloring_condition",
+            _range_sandwich(ranges, np.eye(c, dtype=bool), edge_ops), tol)
 
+    # the long products and the PVM coloring condition, whose rows are the
+    # widest, go before the orthogonality pairs: their guards refuse first
+    long_products = _worst(_subset_products(p, b + 1)[1])
     if len(subsets):
         rep.add("pvm_projections", _projection_residual(q), tol)
         live = _live_subsets(q, edge_ops)
         member = (subsets[live, :, None] == np.arange(c)).any(axis=1)
-        ortho, qcol = _pvm_pair_residuals(q[live], member, edge_ops)
-        rep.add("pvm_orthogonality", ortho, tol)
+        overlap = (member @ member.T) & ~np.eye(len(live), dtype=bool)
+        # at fold 1 the subset products are the colors, whose ranges are known
+        ranges = [x[live] for x in ranges] if b == 1 else _ranges(q[live])
+        qcol = _range_sandwich(ranges, overlap, edge_ops)
+        rep.add("pvm_orthogonality", _range_sandwich(
+            ranges, ~np.tri(len(live), dtype=bool), np.eye(graph.n)[None]), tol)
         rep.add("pvm_coloring_condition", qcol, tol)
 
-    _, long_products = _subset_products(p, b + 1)
-    rep.add("long_products_vanish", _worst(long_products), tol)
+    rep.add("long_products_vanish", long_products, tol)
     return rep, subsets, q
 
 

@@ -57,6 +57,8 @@ RANGE_SANDWICH = ("tests/test_structure_properties.py::"
                   "test_range_sandwich_lies_between_dense_and_its_bound")
 RANGE_PAIRS = ("tests/test_structure_properties.py::"
                "test_range_pairs_lie_between_dense_and_their_bound")
+IDENTITY_NORM = ("tests/test_verify_oracle.py::"
+                 "test_orthogonality_counts_the_norm_of_the_identity")
 
 
 @dataclass(frozen=True)
@@ -215,16 +217,17 @@ MUTANTS = [
            'check_dense_size(16 * prod(shape), "the commutator stack',
            'check_dense_size(0, "the commutator stack',
            (GUARDED + "[commutators]", VERIFIER_GUARD_WINDOWS + "[commutators]")),
+    # the range sandwich's guard counts every partner of the widest row
     Mutant("pvm-pairs-unguarded", "coloring.py",
-           "check_dense_size(16 * (k * n * n + k * r * n + prod(shape)),",
-           "check_dense_size(0,",
+           "r * ((k + 1) * big + wide * (big + k * r))",
+           "r * ((k + 1) * big + big + k * r)",
            (GUARDED + "[pvm-pairs]", VERIFIER_GUARD_WINDOWS + "[pvm-pairs]")),
     Mutant("ranges-unguarded", "coloring.py",
            "check_dense_size(64 * c * n * n,",
            "check_dense_size(0,",
            (VERIFIER_GUARD_WINDOWS + "[ranges]",)),
     Mutant("range-sandwich-unguarded", "coloring.py",
-           "check_dense_size(side + one,",
+           "check_dense_size(side + row,",
            "check_dense_size(0,",
            (VERIFIER_GUARD_WINDOWS + "[range-sandwich]",)),
     Mutant("homomorphism-stacks-unguarded", "coloring.py",
@@ -245,8 +248,8 @@ MUTANTS = [
            ("tests/test_qgraph.py::test_conjugate_graph_preserves_axioms",
             "tests/test_coloring.py::test_unitary_invariance_of_bfold_certificates")),
     Mutant("pvm-partners-skipped", "coloring.py",
-           "later, t = slice(s + 1, None), overlap[s]",
-           "later, t = slice(s + 2, None), overlap[s]",
+           "ranges, ~np.tri(len(live), dtype=bool),",
+           "ranges, ~np.tri(len(live), k=1, dtype=bool),",
            ("tests/test_verify_oracle.py::"
             "test_random_noncommuting_projections_match_the_oracle",)),
     # the conditional expectation averages a block's copies: 1/m, not 1/sqrt(m)
@@ -269,6 +272,35 @@ MUTANTS = [
            "a = w[:, :, None] * vh[:, :r]",
            "a = vh[:, :r]",
            (RANGE_SANDWICH, RANGE_PAIRS)),
+    # A_s splits as (rank, graph, ancilla), the graph leg first
+    Mutant("range-legs-swapped", "coloring.py",
+           "legs = a[i].reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)",
+           "legs = a[i].reshape(m, r, d, n).reshape(-1, n)",
+           (RANGE_SANDWICH, RANGE_PAIRS)),
+    # ||X (x) I_d|| = sqrt(d) ||X||
+    Mutant("range-bound-without-ancilla", "coloring.py",
+           "xnorm = d ** 0.5 * _hs_norms(ops)",
+           "xnorm = _hs_norms(ops)",
+           (IDENTITY_NORM + "[40-4]",)),
+    # every operator of norm 1: for the identity, the orthogonality bound
+    # without sqrt(N)
+    Mutant("range-bound-operators-of-norm-one", "coloring.py",
+           "xnorm = d ** 0.5 * _hs_norms(ops)",
+           "xnorm = np.ones(k)",
+           (IDENTITY_NORM,)),
+    # np.nanmax drops the NaN of a non-finite matrix
+    Mutant("worst-drops-nan", "opspace.py",
+           "return float(np.max(_hs_norms(x), initial=0.0))",
+           "return float(np.nanmax(_hs_norms(x), initial=0.0))",
+           ("tests/test_coloring.py::test_extract_keeps_a_nan_residual",
+            "tests/test_verify_oracle.py::"
+            "test_bell_coloring_with_a_nan_entry_matches_the_oracle")),
+    # a demand vector solved with bound colors failed only with bound - 1
+    Mutant("bfold-memo-records-the-found-count", "classical.py",
+           "fails[demand] = max(fails.get(demand, 0), max(lo, bound) - 1)",
+           "fails[demand] = max(fails.get(demand, 0), max(lo, bound))",
+           ("tests/test_bfold_oracle.py::"
+            "test_a_found_count_is_not_memoized_as_a_failure",)),
     # copy j and index i of a block swap roles in the commutant
     Mutant("commutant-order-unswapped", "qgraph.py",
            "order = [o + j * k + i",

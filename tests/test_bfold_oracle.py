@@ -143,3 +143,13 @@ def test_fold_one_on_26_vertices_matches_chromatic(seed):
     start = time.perf_counter()
     assert solve(g, 1) == chromatic_exact(g)
     assert time.perf_counter() - start < 5.0
+
+
+def test_a_found_count_is_not_memoized_as_a_failure():
+    """G(12, 0.3) with seed 26 has chi_2 = 6, which chromatic_exact of the
+    lexicographic product G[K_2] confirms. A demand vector solved with
+    bound colors has failed only with bound - 1: a memo that records bound
+    itself as failed returns 7 here."""
+    g = qg.random_graph(12, 0.3, 26)
+    assert solve(g, 2) == chromatic_exact(classical_product(g, qg.complete(2),
+                                                            "lexicographic")) == 6

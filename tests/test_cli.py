@@ -436,7 +436,8 @@ REFUSALS = {
     "lex-few-colors": "the rebuilt colors of shape (1, 16384, 16384)",
     "cat-lift": "the lifted stack of shape (1, 256000, 256000)",
     "commutators": "the commutator stack of shape (319600, 12, 12)",
-    "pvm-pairs": "the PVM pair stack of shape (459, 132, 48, 48)"}
+    "pvm-pairs": "the range sandwich of 132 operators of dimension 12 (rank 48, "
+                 "ancilla 4, up to 459 pairs a row)"}
 
 
 @pytest.mark.parametrize("case", REFUSALS)

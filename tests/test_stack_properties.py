@@ -10,9 +10,11 @@ sets) and on the same certificates conjugated by a seeded Haar unitary.
 small DENSE_BYTES_LIMIT every construction either raises SizeGuardError or
 returns a stack within the limit, and so does every stack whose norms the
 b-fold verifier, the subset PVM and the homomorphism verifier take; fixed
-certificates pin the narrow windows of the commutator, range and PVM pair
-guards. One ``_lift`` call allocates at most 1.1 times the stack its guard
-counts, and one ``_commutators`` call at the limit at most 1.5 times.
+certificates pin the narrow windows of the commutator, range and range
+sandwich guards. One ``_lift`` call allocates at most 1.1 times the stack
+its guard counts, one ``_commutators`` call at the limit at most 1.5 times,
+and a verify of the strong Bell4 x C5 lift under a 32 MiB limit at most 1.5
+times the limit.
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run checks the same inputs.
 """
@@ -27,14 +29,15 @@ from hypothesis import given, settings, strategies as st
 
 from quantumgraphs import coloring, qgraph
 from quantumgraphs.classical import (ClassicalGraph, SizeGuardError, bfold_exact,
-                                     complete, petersen)
+                                     complete, cycle, petersen)
 from quantumgraphs.coloring import (ColoringCertificate, HomomorphismCertificate,
                                     bell_coloring, categorical_lift, combine_bfold,
                                     lexicographic_coloring, pvm_from_bfold,
                                     scale_bfold, strong_coloring, to_local_cert,
-                                    verify_bfold, verify_homomorphism)
+                                    verify_bfold, verify_coloring, verify_homomorphism)
 from quantumgraphs.opspace import OperatorSubspace, permute_systems, projection_meet
-from quantumgraphs.qgraph import from_classical
+from quantumgraphs.products import product
+from quantumgraphs.qgraph import BlockAlgebra, complete_quantum_graph, from_classical
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -317,6 +320,27 @@ def test_constructions_refuse_or_fit_under_the_dense_limit(data, limit):
             assert out.projections.nbytes <= limit
 
 
+def test_strong_lift_verify_peaks_near_the_limit(monkeypatch):
+    """With DENSE_BYTES_LIMIT patched down to 32 MiB, the strong lift of
+    Bell4 and a 3-coloring of C5 (48 colors of dimension 80) still verifies
+    on the strong product, and the verify peaks (tracemalloc) at most 1.5
+    times the limit: the range sandwich multiplies the edge operators on the
+    graph leg in chunks of colors and never forms X (x) I_4."""
+    graph = product(complete_quantum_graph(BlockAlgebra.full(4)),
+                    from_classical(cycle(5)), "strong")
+    cert = strong_coloring(bell_coloring(4), local(cycle(5), 1))
+    limit = 32 * 2 ** 20
+    monkeypatch.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        rep = verify_coloring(graph, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 1.5 * limit
+
+
 def verifier_stack_refusals(cert, matrices):
     """Run verify_bfold and pvm_from_bfold on ``cert`` against the complete
     graph under a limit of ``matrices`` matrices of the certificate's
@@ -364,14 +388,17 @@ def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
     # the same under 12 matrices: the commutators fit, the singular vectors
     # and ranges of the 5 colors (4 matrices each) do not
     ([(0,), (1,)], 5, 1, 12, "the singular vectors and ranges"),
-    # one identity color on K4 under 12 matrices: the 12 edge operators and
-    # the 4 matrices of its range fit, but not the operators side by side
-    # with its 12 products A X and A X B, 2 matrices each
-    ([(0,)] * 4, 1, 1, 12, "the range sandwich of one color"),
-    # fold 2 on K3, four identity colors under 24 matrices: every other
-    # stack of verify_bfold fits, but each of the 6 subsets, all of rank 3,
-    # overlaps 4 others, against 6 edge operators each
-    ([(0, 1, 2, 3)] * 3, 4, 2, 24, "the PVM pair stack"),
+    # one identity color on K4 under 12 matrices: the 4 matrices of its
+    # range fit, but not the 12 edge operators side by side with its row,
+    # about 64 matrices in all
+    ([(0,)] * 4, 1, 1, 12, "the range sandwich of 12 operators of dimension 4 "
+     "(rank 4, ancilla 1, up to 1 pairs a row)"),
+    # fold 2 on K3, four identity colors under 50 matrices: every other
+    # stack of verify_bfold fits, the coloring condition's rows of one pair
+    # too (about 34 matrices), but each of the 6 subsets, all of rank 3,
+    # overlaps 4 others against 6 edge operators (about 78 matrices)
+    ([(0, 1, 2, 3)] * 3, 4, 2, 50, "the range sandwich of 6 operators of dimension 3 "
+     "(rank 3, ancilla 1, up to 4 pairs a row)"),
 ], ids=["commutators", "ranges", "range-sandwich", "pvm-pairs"])
 def test_verifier_stacks_at_their_narrow_windows(sets, colors, fold, matrices, guard):
     """Fixed certificates where only the named guard stands between a check

@@ -5,12 +5,13 @@ own structure.
 expectation; it must agree with the projection onto the algebra's HS basis
 on members and non-members of Haar-conjugated multi-block algebras, and
 their tensor products with a full ancilla algebra, to within 1e-12
-relative or 1e-14 absolute, NaN for NaN. ``coloring._ranges`` and the
-checks built on it take ||P X Q|| from each operator's range, dropping
-the singular values at or below RANK_CUTOFF * max(1, s_max); on
-near-projections, self-adjoint or not, with singular values on both sides
-of the cutoff, the reported value must lie between the dense ||P X Q||
-and it plus the documented bound, up to rounding. Hypothesis runs
+relative or 1e-14 absolute, NaN for NaN. ``coloring._ranges`` and
+``coloring._range_sandwich`` take ||P (X (x) I_d) Q|| from each operator's
+range, with X on the graph leg, dropping the singular values at or below
+RANK_CUTOFF * max(1, s_max); on near-projections, self-adjoint or not,
+with singular values on both sides of the cutoff and ancillas d = 1..3,
+the reported value must lie between the dense ||P (X (x) I_d) Q|| and it
+plus the documented bound, up to rounding. Hypothesis runs
 derandomized with a fixed example count and no example database, so every
 run checks the same inputs.
 """
@@ -136,41 +137,54 @@ def hs(x):
     return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
 
 
+def sandwich(p, pairs, x):
+    """The range sandwich of p over the index pairs (s, t), given as a
+    boolean mask, with the graph-leg stack x."""
+    return coloring._range_sandwich(coloring._ranges(p), pairs, x)
+
+
 def assert_within(reported, dense, bound):
     slack = 1e-14 * max(1.0, dense)
     assert dense - slack <= reported <= dense + bound + slack, (dense, reported, bound)
 
 
-@given(st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(1, 4),
+@given(st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4),
        st.sampled_from([1e-6, 1e-9, 1e-12]), st.booleans())
 @FIXED
-def test_range_sandwich_lies_between_dense_and_its_bound(seed, n, count, eps, hermitian):
+def test_range_sandwich_lies_between_dense_and_its_bound(seed, n, d, count, eps,
+                                                         hermitian):
     rng = np.random.default_rng(seed)
-    p = near_projections(rng, count, n, eps, hermitian)
+    p = near_projections(rng, count, n * d, eps, hermitian)
     x = randc(rng, 3, n, n) / n
+    y = np.kron(x, np.eye(d))
     top, lost = dropped(p)
-    dense = np.max(hs(p[:, None] @ x @ p[:, None]))
-    bound = np.max(2 * (top * lost)[:, None] * hs(x))
-    assert_within(coloring._sandwich_residual(p, x), dense, bound)
+    dense = np.max(hs(p[:, None] @ y @ p[:, None]))
+    bound = np.max(2 * (top * lost)[:, None] * hs(y))
+    assert_within(sandwich(p, np.eye(count, dtype=bool), x), dense, bound)
 
 
-@given(st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(2, 4),
+@given(st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(1, 3), st.integers(2, 4),
        st.sampled_from([1e-6, 1e-9, 1e-12]), st.booleans())
 @FIXED
-def test_range_pairs_lie_between_dense_and_their_bound(seed, n, count, eps, hermitian):
+def test_range_pairs_lie_between_dense_and_their_bound(seed, n, d, count, eps,
+                                                       hermitian):
+    """Orthogonality is the sandwich of I_n, whose lift I_N has HS norm
+    sqrt(N)."""
     rng = np.random.default_rng(seed)
-    q = near_projections(rng, count, n, eps, hermitian)
+    q = near_projections(rng, count, n * d, eps, hermitian)
     x = randc(rng, 2, n, n) / n
+    y = np.kron(x, np.eye(d))
     top, lost = dropped(q)
-    member = np.ones((count, 1), dtype=bool)
-    ortho, qcol = coloring._pvm_pair_residuals(q, member, x)
-    s, t = np.triu_indices(count, 1)
+    later = ~np.tri(count, dtype=bool)
+    s, t = np.nonzero(later)
     pair = lost[s] * top[t] + top[s] * lost[t]
-    assert_within(ortho, np.max(hs(q[s] @ q[t])), np.max(pair))
-    s, t = np.nonzero(~np.eye(count, dtype=bool))
+    assert_within(sandwich(q, later, np.eye(n)[None]), np.max(hs(q[s] @ q[t])),
+                  np.max(pair) * np.sqrt(n * d))
+    others = ~np.eye(count, dtype=bool)
+    s, t = np.nonzero(others)
     pair = lost[s] * top[t] + top[s] * lost[t]
-    assert_within(qcol, np.max(hs(q[s][:, None] @ x @ q[t][:, None])),
-                  np.max(pair[:, None] * hs(x)))
+    assert_within(sandwich(q, others, x), np.max(hs(q[s][:, None] @ y @ q[t][:, None])),
+                  np.max(pair[:, None] * hs(y)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -179,6 +193,6 @@ def test_a_non_finite_operator_gives_nan(bad):
     p = near_projections(rng, 3, 4, 0.0, True)
     p[1, 2, 0] = bad
     x = randc(rng, 2, 4, 4)
-    assert np.isnan(coloring._sandwich_residual(p, x))
-    ortho, qcol = coloring._pvm_pair_residuals(p, np.ones((3, 1), dtype=bool), x)
-    assert np.isnan(ortho) and np.isnan(qcol)
+    assert np.isnan(sandwich(p, np.eye(3, dtype=bool), x))
+    assert np.isnan(sandwich(p, ~np.tri(3, dtype=bool), np.eye(4)[None]))
+    assert np.isnan(sandwich(p, ~np.eye(3, dtype=bool), x))

@@ -276,25 +276,49 @@ def test_fold_three_certificates_with_zero_subsets_match_the_oracle(build):
 
 
 def test_pairwise_checks_visit_only_the_nonzero_subsets(monkeypatch):
+    """The range sandwich runs once on the colors (the coloring condition)
+    and then twice on the subset products (the PVM coloring condition and
+    the orthogonality); those two see only the nonzero products."""
     seen = []
-    pairs = coloring._pvm_pair_residuals
+    sandwich = coloring._range_sandwich
 
-    def counting(q, member, edge_ops):
-        seen.append(len(q))
-        return pairs(q, member, edge_ops)
+    def counting(ranges, pairs, ops):
+        seen.append(len(ranges[0]))
+        return sandwich(ranges, pairs, ops)
 
-    monkeypatch.setattr(coloring, "_pvm_pair_residuals", counting)
+    monkeypatch.setattr(coloring, "_range_sandwich", counting)
     for fold in (2, 3):
         g = qg.random_graph(10, 0.4, 1)
         _, witness = qg.bfold_exact(g, fold)
         cert = qg.to_local_cert(g, witness)
+        seen.clear()
         assert verify_bfold(qg.from_classical(g), cert).passed
         # Q_S of a local certificate is nonzero iff some vertex has color set S
-        assert seen.pop() == len(set(witness.assignment)) < comb(cert.colors, fold)
+        assert seen[1:] == [len(set(witness.assignment))] * 2
+        assert seen[1] < comb(cert.colors, fold)
     # an entangled certificate has no zero subset: all of them are visited
     graph = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
+    seen.clear()
     verify_bfold(graph, qg.bell_coloring(2))
-    assert seen == [4]
+    assert seen == [4, 4, 4]
+
+
+@pytest.mark.parametrize("n, d", [(160, 1), (40, 4)])
+def test_orthogonality_counts_the_norm_of_the_identity(n, d):
+    """Q_S = diag(1, 1, 9e-11, ..., 9e-11) and Q_T = diag(0, 0, 1, ..., 1)
+    in dimension N = 160: Q_S drops its 9e-11 part, so A_S B_T = 0, but
+    ||Q_S Q_T|| = 9e-11 sqrt(158) = 1.13e-9 is past the tolerance. Only a
+    bound that carries ||I_N|| = sqrt(N), sqrt(d) of it from the ancilla,
+    keeps the reported value above the dense one."""
+    big = n * d
+    qs = np.diag([1.0, 1.0] + [9e-11] * (big - 2))
+    qt = np.diag([0.0, 0.0] + [1.0] * (big - 2))
+    graph = qg.from_classical(qg.ClassicalGraph(n, []))
+    rep = verify_bfold(graph, ColoringCertificate(n, d, 1, (qs, qt)))
+    check = next(c for c in rep.checks if c.name == "pvm_orthogonality")
+    dense = hs_norm(qs @ qt)
+    assert dense > DEFAULT_TOL
+    assert check.residual >= dense and not check.passed
 
 
 def test_failing_bell_combination_matches_the_oracle(bell2):
