@@ -141,9 +141,16 @@ def _lift(a: np.ndarray, b: np.ndarray, a_legs: tuple, b_legs: tuple) -> np.ndar
 # ---------------------------------------------------------------------------
 # verifiers
 
-def _with_ancilla(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """X (x) I_ancilla for each X of a (k, n, n) stack."""
-    return _lift(stack, np.eye(ancilla_dim), (stack.shape[-1], 1), (1, ancilla_dim))
+def _on_graph_leg(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """R (X (x) I_d) for the row blocks R of an (m, r, N) stack and the X of a
+    (k, n, n) stack on the graph leg, d = N / n, as an (m, k, r, N) stack: the
+    rows, split into graph and ancilla legs, meet the operators laid side by
+    side in one matmul. Unguarded; its callers count what it holds."""
+    (k, n), (m, r, big) = ops.shape[:2], rows.shape
+    d = big // n
+    legs = rows.reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)
+    x = legs @ ops.transpose(1, 0, 2).reshape(n, k * n)
+    return x.reshape(m, r, d, k, n).transpose(0, 3, 1, 4, 2).reshape(m, k, r, big)
 
 
 def _ranges(p: np.ndarray) -> tuple:
@@ -183,15 +190,13 @@ def _range_sandwich(ranges: tuple, pairs: np.ndarray, ops: np.ndarray) -> float:
     as ||A_s (X (x) I_d) B_t|| plus the bound of _ranges, sqrt(d) ||X||
     (lost_s top_t + top_s lost_t); 0.0 for no pair or no operator.
 
-    ``ranges`` is what _ranges returns for a (c, N, N) stack, ``pairs`` a
-    boolean (c, c) array true at the pairs (s, t), and ``ops`` a (k, n, n)
-    stack on the graph leg, so d = N / n. X (x) I_d is never formed: the A_s
-    of a chunk of rows, split into graph and ancilla legs, meet the
-    operators side by side in one matmul, then, back in leg order, the B_t
-    of their partners, each row padded to the widest by repeating its last.
-    The operators side by side and one row, twice over for its copies,
-    indices and norms, are refused past DENSE_BYTES_LIMIT before any pair
-    is formed, and a chunk holds the rows that fit beside the operators."""
+    ``ranges`` is what _ranges returns for a (c, N, N) stack, ``pairs`` a boolean
+    (c, c) array true at the pairs (s, t), and ``ops`` a (k, n, n) stack on the
+    graph leg, so d = N / n. The A_s of a chunk of rows meet the operators in one
+    _on_graph_leg call, then the B_t of their partners, each row padded to the
+    widest by repeating its last. The operators side by side and one row, twice
+    over for its copies, indices and norms, are refused past DENSE_BYTES_LIMIT
+    before any pair is formed; a chunk holds the rows that fit beside them."""
     a, b, top, lost = ranges
     k, n = ops.shape[:2]
     partners = pairs.sum(axis=1)
@@ -208,7 +213,6 @@ def _range_sandwich(ranges: tuple, pairs: np.ndarray, ops: np.ndarray) -> float:
                      "%d (rank %d, ancilla %d, up to %d pairs a row)"
                      % (k, n, r, d, wide))
     width = max(1, (qgraph.DENSE_BYTES_LIMIT - side) // row)
-    xs = ops.transpose(1, 0, 2).reshape(n, k * n)
     xnorm = d ** 0.5 * _hs_norms(ops)
 
     def chunk(i, count):
@@ -217,9 +221,7 @@ def _range_sandwich(ranges: tuple, pairs: np.ndarray, ops: np.ndarray) -> float:
         m, ends = len(i), count.cumsum()[:, None]
         t = pairs[i].nonzero()[1][np.minimum(ends - count[:, None] + np.arange(wide),
                                               ends - 1)]
-        legs = a[i].reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)
-        ax = (legs @ xs).reshape(m, r, d, k, n).transpose(0, 3, 1, 4, 2)
-        axb = ax.reshape(m, 1, k * r, big) @ b[t]
+        axb = _on_graph_leg(a[i], ops).reshape(m, 1, k * r, big) @ b[t]
         bound = lost[i, None] * top[t] + top[i, None] * lost[t]
         return (_hs_norms(axb.reshape(m, wide, k, r, r))
                 + bound[..., None] * xnorm).max()
@@ -354,6 +356,8 @@ def _verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
     if len(subsets):
         rep.add("pvm_projections", _projection_residual(q), tol)
         live = _live_subsets(q, edge_ops)
+        check_dense_size(3 * len(live) ** 2, "the pair masks of %d live subset "
+                         "products" % len(live))
         member = (subsets[live, :, None] == np.arange(c)).any(axis=1)
         overlap = (member @ member.T) & ~np.eye(len(live), dtype=bool)
         # at fold 1 the subset products are the colors, whose ranges are known
@@ -370,29 +374,27 @@ def _verify_bfold(graph: QuantumGraph, cert: ColoringCertificate,
 def verify_homomorphism(source: QuantumGraph, target: QuantumGraph,
                         cert: HomomorphismCertificate,
                         tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Verify a Kraus homomorphism certificate between quantum graphs."""
+    """Verify a Kraus homomorphism certificate between quantum graphs. With
+    the K operators read as one (K n_dst, d_in) matrix Phi, sum F_i* F_i =
+    Phi* Phi, and F_i (Y (x) I) F_j* is block i of Phi (Y (x) I) times F_j*."""
     if cert.source_dim != source.n or cert.target_dim != target.n:
         raise ValueError("certificate dimensions do not match the graphs")
     rep = VerificationReport("homomorphism certificate (%d Kraus, ancilla %d)"
                              % (len(cert.kraus), cert.ancilla_dim))
-    d_in = cert.source_dim * cert.ancilla_dim
-    fs = cert.kraus
-    fs_adj = adjoint(fs)
-    shape = (len(fs), d_in, d_in)
-    check_dense_size(16 * prod(shape), "the Kraus product stack of shape %r" % (shape,))
-    tp = (fs_adj @ fs).sum(axis=0) - np.eye(d_in)
-    rep.add("trace_preserving", hs_norm(tp), tol)
+    k, nt, d_in = cert.kraus.shape
+    phi, adj = cert.kraus.reshape(k * nt, d_in), adjoint(cert.kraus)
+    check_dense_size(16 * d_in * d_in, "the Kraus product of shape %r" % ((d_in, d_in),))
+    rep.add("trace_preserving", hs_norm(adjoint(phi) @ phi - np.eye(d_in)), tol)
 
-    edge_ops = _with_ancilla(source.S.basis, cert.ancilla_dim)
-    yi = _with_ancilla(source.M.commutant().basis().basis, cert.ancilla_dim)
-    # left @ Y @ right stacks F_i Y F_j* over all pairs (i, j) and all Y
-    shape = (len(fs), len(fs), max(len(edge_ops), len(yi)), target.n, target.n)
-    check_dense_size(16 * prod(shape), "the Kraus pair stack of shape %r" % (shape,))
-    left, right = fs[:, None, None], fs_adj[None, :, None]
-    rep.add("edge_space_mapped",
-            target.S.max_residual(left @ edge_ops @ right), tol)
-    rep.add("commutant_mapped",
-            target.M.commutant().max_residual(left @ yi @ right), tol)
+    edge_ops, units = source.S.basis, source.M.commutant().basis().basis
+    m = max(len(edge_ops), len(units))
+    check_dense_size(16 * m * k * nt * (k * nt + d_in), "the Kraus pair stack of "
+                     "shape %r" % ((k, k, m, nt, nt),))
+    # one expression each, so that Phi (Y (x) I) is freed before the residual
+    for name, ops, space in (("edge_space_mapped", edge_ops, target.S),
+                             ("commutant_mapped", units, target.M.commutant())):
+        rep.add(name, space.max_residual(
+            _on_graph_leg(phi[None], ops).reshape(len(ops), k, 1, nt, d_in) @ adj), tol)
     return rep
 
 
@@ -481,7 +483,7 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
     dim, m = n * d1 * d2, len(q1) + len(q2) + len(q1) * len(q2) + colors
     check_dense_size(16 * m * dim * dim, "the stack of %d embedded subset "
                      "products, meets and colors (dimension %d)" % (m, dim))
-    meets = projection_meet(_with_ancilla(q1, d2)[:, None],
+    meets = projection_meet(_lift(q1, np.eye(d2), (n * d1, 1), (1, d2))[:, None],
                             _lift(np.eye(d1), q2, (1, d1), (n, d2))[None], tol)
     subsets = np.hstack([np.repeat(s1, len(s2), axis=0),
                          np.tile(s2 + c1, (len(s1), 1))])
@@ -579,14 +581,10 @@ def bell_coloring(n: int) -> ColoringCertificate:
     n = int(n)
     if n < 1:
         raise ValueError("dimension must be positive")
-    shift = np.zeros((n, n), dtype=np.complex128)
-    for v in range(n):
-        shift[(v + 1) % n, v] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    omega = np.zeros(n * n, dtype=np.complex128)
-    for v in range(n):
-        omega[v * n + v] = 1.0 / np.sqrt(n)
     eye = np.eye(n)
+    shift = np.roll(eye, 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    omega = eye.reshape(-1) / np.sqrt(n)
     projs = []
     for j in range(n):
         for k in range(n):

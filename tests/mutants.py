@@ -59,6 +59,10 @@ RANGE_PAIRS = ("tests/test_structure_properties.py::"
                "test_range_pairs_lie_between_dense_and_their_bound")
 IDENTITY_NORM = ("tests/test_verify_oracle.py::"
                  "test_orthogonality_counts_the_norm_of_the_identity")
+HOMOMORPHISM_ORACLE = ("tests/test_homomorphism_oracle.py::"
+                       "test_verify_homomorphism_matches_the_per_pair_reference")
+CROSS_PAIRS = ("tests/test_homomorphism_oracle.py::"
+               "test_cross_pairs_fail_where_every_diagonal_pair_passes")
 
 
 @dataclass(frozen=True)
@@ -231,13 +235,22 @@ MUTANTS = [
            "check_dense_size(0,",
            (VERIFIER_GUARD_WINDOWS + "[range-sandwich]",)),
     Mutant("homomorphism-stacks-unguarded", "coloring.py",
-           'check_dense_size(16 * prod(shape), "the Kraus pair stack',
+           'check_dense_size(16 * m * k * nt * (k * nt + d_in), "the Kraus pair stack',
            'check_dense_size(0, "the Kraus pair stack',
            (HOSTILE_KRAUS + "[pairs]", HOMOMORPHISM_GUARD_PROPERTY)),
     Mutant("homomorphism-products-unguarded", "coloring.py",
-           'check_dense_size(16 * prod(shape), "the Kraus product stack',
-           'check_dense_size(0, "the Kraus product stack',
+           'check_dense_size(16 * d_in * d_in, "the Kraus product',
+           'check_dense_size(0, "the Kraus product',
            (HOSTILE_KRAUS + "[products]",)),
+    # F_i (Y (x) I) F_j* for i = j alone misses the cross pairs
+    Mutant("kraus-pairs-diagonal-only", "coloring.py",
+           "reshape(len(ops), k, 1, nt, d_in) @ adj",
+           "reshape(len(ops), k, nt, d_in) @ adj",
+           (CROSS_PAIRS,)),
+    Mutant("pvm-masks-unguarded", "coloring.py",
+           "check_dense_size(3 * len(live) ** 2,",
+           "check_dense_size(0,",
+           (GUARDED + "[pvm-masks]", VERIFIER_GUARD_WINDOWS + "[pvm-masks]")),
     Mutant("kneser-count-before-the-vertex-bound", "classical.py",
            "at_least = b < c and c > _KNESER_VERTEX_LIMIT",
            "at_least = False",
@@ -272,11 +285,11 @@ MUTANTS = [
            "a = w[:, :, None] * vh[:, :r]",
            "a = vh[:, :r]",
            (RANGE_SANDWICH, RANGE_PAIRS)),
-    # A_s splits as (rank, graph, ancilla), the graph leg first
-    Mutant("range-legs-swapped", "coloring.py",
-           "legs = a[i].reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)",
-           "legs = a[i].reshape(m, r, d, n).reshape(-1, n)",
-           (RANGE_SANDWICH, RANGE_PAIRS)),
+    # a row splits as (graph, ancilla), the graph leg first
+    Mutant("graph-leg-legs-swapped", "coloring.py",
+           "legs = rows.reshape(m, r, n, d).transpose(0, 1, 3, 2).reshape(-1, n)",
+           "legs = rows.reshape(m, r, d, n).reshape(-1, n)",
+           (RANGE_SANDWICH, RANGE_PAIRS, HOMOMORPHISM_ORACLE)),
     # ||X (x) I_d|| = sqrt(d) ||X||
     Mutant("range-bound-without-ancilla", "coloring.py",
            "xnorm = d ** 0.5 * _hs_norms(ops)",

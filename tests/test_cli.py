@@ -437,7 +437,8 @@ REFUSALS = {
     "cat-lift": "the lifted stack of shape (1, 256000, 256000)",
     "commutators": "the commutator stack of shape (319600, 12, 12)",
     "pvm-pairs": "the range sandwich of 132 operators of dimension 12 (rank 48, "
-                 "ancilla 4, up to 459 pairs a row)"}
+                 "ancilla 4, up to 459 pairs a row)",
+    "pvm-masks": "the pair masks of 34220 live subset products"}
 
 
 @pytest.mark.parametrize("case", REFUSALS)
@@ -457,7 +458,9 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
     - the 0.69 GiB of commutators of 800 identities of dimension 12, a
       6 MB certificate
     - the 2.1 GiB of one subset's overlapping partners in the PVM coloring
-      check of 20 identities on K12 at fold 3 and ancilla 4, 2 MB"""
+      check of 20 identities on K12 at fold 3 and ancilla 4, 2 MB
+    - the 3.3 GiB of the pair masks of the 34220 live subset products of 60
+      one-dimensional identities at fold 3"""
     graph = tmp_path / "one.col"
     graph.write_text("p edge 1 0\n")
     big = tmp_path / "big.col"
@@ -481,6 +484,10 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
     elif case == "commutators":
         ser.save(str(cert), ser.certificate_to_obj(
             qg.ColoringCertificate(1, 12, 1, np.stack([np.eye(12)] * 800))))
+        argv = ["color", "verify", "--bfold", str(graph), str(cert)]
+    elif case == "pvm-masks":
+        ser.save(str(cert), ser.certificate_to_obj(
+            qg.ColoringCertificate(1, 1, 3, np.ones((60, 1, 1)))))
         argv = ["color", "verify", "--bfold", str(graph), str(cert)]
     elif case == "pvm-pairs":
         k12 = tmp_path / "k12.col"

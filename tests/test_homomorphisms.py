@@ -101,7 +101,7 @@ HOSTILE = {
               "rng = np.random.default_rng(0)\n"
               "f = rng.standard_normal((120, 8, 64)) + 1j * rng.standard_normal((120, 8, 64))\n"
               "cert = qg.HomomorphismCertificate(8, 8, 8, f)"),
-    "products": ("the Kraus product stack of shape (1, 20000, 20000)",
+    "products": ("the Kraus product of shape (20000, 20000)",
                  "g = qg.from_classical(qg.ClassicalGraph(1, []))\n"
                  "cert = qg.HomomorphismCertificate(1, 1, 20000, np.ones((1, 1, 20000)))")}
 
@@ -114,7 +114,7 @@ def test_hostile_kraus_families_are_refused_before_their_stacks(case):
       certificate whose F_i Y F_j* stack over the 56 edge operators takes
       0.77 GiB
     - one 1 x 20000 Kraus operator on the 1-vertex graph, a 320 KB
-      certificate whose F* F stack takes 6 GiB"""
+      certificate whose F* F takes 6 GiB"""
     message, setup = HOSTILE[case]
     code = ("import sys\nimport numpy as np\nimport quantumgraphs as qg\n"
             + setup + "\ntry:\n    qg.verify_homomorphism(g, g, cert)\n"

@@ -13,7 +13,8 @@ b-fold verifier, the subset PVM and the homomorphism verifier take; fixed
 certificates pin the narrow windows of the commutator, range and range
 sandwich guards. One ``_lift`` call allocates at most 1.1 times the stack
 its guard counts, one ``_commutators`` call at the limit at most 1.5 times,
-and a verify of the strong Bell4 x C5 lift under a 32 MiB limit at most 1.5
+and a verify of the strong Bell4 x C5 lift under a 32 MiB limit, or of 4
+random Kraus operators from K8 to K8 on ancilla 8 under 4 MiB, at most 1.5
 times the limit.
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run checks the same inputs.
@@ -399,7 +400,11 @@ def test_verifier_stacks_refuse_or_fit_under_the_dense_limit(data, matrices):
     # overlaps 4 others against 6 edge operators (about 78 matrices)
     ([(0, 1, 2, 3)] * 3, 4, 2, 50, "the range sandwich of 6 operators of dimension 3 "
      "(rank 3, ancilla 1, up to 4 pairs a row)"),
-], ids=["commutators", "ranges", "range-sandwich", "pvm-pairs"])
+    # 30 one-dimensional identities at fold 3 under 32 MiB: every stack
+    # fits, but not the three L x L boolean masks of the L = 4060 live
+    # subset products (47 MiB)
+    ([tuple(range(30))], 30, 3, 2 ** 21, "the pair masks of 4060 live subset products"),
+], ids=["commutators", "ranges", "range-sandwich", "pvm-pairs", "pvm-masks"])
 def test_verifier_stacks_at_their_narrow_windows(sets, colors, fold, matrices, guard):
     """Fixed certificates where only the named guard stands between a check
     and a stack past the limit, so its refusal does not depend on the
@@ -443,3 +448,27 @@ def test_homomorphism_stacks_refuse_or_fit_under_the_dense_limit(data, matrices)
         except SizeGuardError:
             return
     assert max(sizes, default=0) <= limit
+
+
+def test_homomorphism_verify_peaks_near_the_limit(monkeypatch):
+    """With DENSE_BYTES_LIMIT patched down to 4 MiB, 4 random Kraus operators
+    from K8 to K8 on ancilla 8 are verified, not refused, and the verify
+    peaks (tracemalloc) at most 1.5 times the limit: each edge or commutant
+    operator meets the stacked family on the graph leg, and neither Y (x) I_8
+    nor a stack of the F_i* F_i is formed."""
+    graph = from_classical(complete(8))
+    rng = np.random.default_rng(0)
+    shape = (4, 8, 64)
+    hom = HomomorphismCertificate(8, 8, 8, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+    limit = 4 * 2 ** 20
+    monkeypatch.setattr(qgraph, "DENSE_BYTES_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        rep = verify_homomorphism(graph, graph, hom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.name for c in rep.checks] == ["trace_preserving", "edge_space_mapped",
+                                            "commutant_mapped"]
+    assert peak <= 1.5 * limit, peak / limit
