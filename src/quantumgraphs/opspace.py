@@ -76,6 +76,13 @@ def _split_support(flat: np.ndarray):
     return (np.flatnonzero(live) if off.size else slice(None)), off
 
 
+def _is_coordinate(flat: np.ndarray, off: np.ndarray) -> bool:
+    """True when the k rows of a (k, N) array are nonzero on exactly k
+    columns, all but ``off``, and every entry is finite: k orthonormal rows
+    then span every vector supported on those columns."""
+    return len(flat) == flat.shape[1] - len(off) and bool(np.isfinite(flat).all())
+
+
 def _projection_residual(stack: np.ndarray) -> float:
     """max over the stack of ||P^2 - P|| and ||P - P*||."""
     return float(np.maximum(_worst(stack @ stack - stack),
@@ -134,11 +141,16 @@ class OperatorSubspace:
         stack at once. Any leading axes are allowed; the last two must be
         (ambient, ambient). An empty stack gives 0.0, a non-finite entry a
         non-finite result. ``stack`` is never written to. The basis is zero off
-        its support U: c = x_U F_U*, the residual is x_U - c F_U on U and x off
-        U, and ||x|| = hypot(||x - Px||, ||c||). U is used if F_U, its
-        conjugate, x_U, c and the residual (2ku + r(2u + k) entries, r matrices)
-        fit in the rk + max(k, r) n^2 of c and the conjugated basis or residual
-        that projecting over every coordinate holds; else that runs, on views."""
+        its support U. When the subspace is coordinate (dim k equal to u = |U|
+        and every basis entry finite, as for matrix-unit bases) it is all of
+        C^U and P masks x onto U, so the residual is x off U with no matmul;
+        on U it is x_U - x_U, 0 for a finite x and NaN for one with a
+        non-finite entry. Otherwise c = x_U F_U*, the residual is x_U - c F_U
+        on U and x off U, and ||x|| = hypot(||x - Px||, ||c||). U is used if
+        F_U, its conjugate, x_U, c and the residual (2ku + r(2u + k) entries,
+        r matrices) fit in the rk + max(k, r) n^2 of c and the conjugated basis
+        or residual that projecting over every coordinate holds; else that
+        runs, on views."""
         arr = np.asarray(stack, dtype=np.complex128)
         if arr.size == 0:
             return 0.0
@@ -147,6 +159,10 @@ class OperatorSubspace:
             raise ValueError("stack of shape %r does not end in (%d, %d)"
                              % (arr.shape, n, n))
         m = arr.reshape(-1, n * n)
+        if self._coordinate:
+            lost = _hs_norms(m.take(self._support[1], axis=1)[:, None])
+            on_u = np.where(np.isfinite(m).all(axis=1), 0.0, np.nan)
+            return _max_relative(lost + on_u, _hs_norms(m[:, None]))
         # the largest u that fits; k orthonormal matrices need u >= k
         r, k = len(m), self.dim
         most = max(k, r) * n * n // (2 * (k + r))
@@ -161,6 +177,8 @@ class OperatorSubspace:
         return _max_relative(norms, np.hypot(norms, _hs_norms(coeff[:, None])))
 
     _support = cached_property(lambda self: _split_support(self._flat))
+    _coordinate = cached_property(
+        lambda self: _is_coordinate(self._flat, self._support[1]))
 
     def contains_subspace(self, other: "OperatorSubspace",
                           tol: float = DEFAULT_TOL) -> bool:
@@ -205,9 +223,11 @@ def orthonormalize(mats, ambient_dim: int | None = None) -> OperatorSubspace:
     The family is a (k, n, n) stack or a sequence of n x n matrices, read
     as one array. Rank comes from the singular-value cutoff RANK_CUTOFF
     relative to the largest singular value of the vectorized family (no
-    sequential Gram-Schmidt). A family that is already orthonormal is
+    sequential Gram-Schmidt). A family that is already orthonormal, tested
+    by its Gram matrix over the columns where some matrix is nonzero, is
     returned unchanged, which makes the operation idempotent. The empty
-    family gives the zero subspace and then requires ``ambient_dim``.
+    family gives the zero subspace and then requires ``ambient_dim``. A NaN
+    or Inf entry raises ValueError naming the first one.
     """
     try:
         arr = np.asarray(mats, dtype=np.complex128)
@@ -224,8 +244,14 @@ def orthonormalize(mats, ambient_dim: int | None = None) -> OperatorSubspace:
         raise ValueError("ambient_dim %d does not match matrices of size %d"
                          % (ambient_dim, n))
     flat = arr.reshape(k, n * n)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i, cell = divmod(int(np.argmin(finite)), n * n)
+        raise ValueError("spanning family matrix %d entry (%d, %d) is %r, not a "
+                         "finite number" % (i, *divmod(cell, n), complex(flat[i, cell])))
     if k <= n * n:
-        gram = flat @ flat.conj().T
+        live = flat[:, _split_support(flat)[0]]
+        gram = live @ live.conj().T
         if np.max(np.abs(gram - np.eye(k))) <= 1e-12:
             return OperatorSubspace(n, arr)
     _, sing, vh = np.linalg.svd(flat, full_matrices=False)

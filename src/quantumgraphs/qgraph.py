@@ -14,8 +14,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .classical import SizeGuardError
-from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _max_relative,
-                      _split_support, adjoint, as_matrix, check_unitary)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _is_coordinate,
+                      _max_relative, _split_support, adjoint, as_matrix,
+                      check_unitary)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -240,19 +241,25 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     x = s_j a, for every basis unit a of the commutant and basis element
     s_j of S, without forming the products: per run of equal commutant
     blocks and side, one stack of live slices and one chunked batched
-    matmul per target index; see verify_quantum_graph."""
+    matmul per target index, or no matmul when S is coordinate in the
+    commutant's frame; see verify_quantum_graph."""
     n, k = s.ambient_dim, s.dim
     w = commutant.conjugator
     t = s.basis if w is None else w.conj().T @ s.basis @ w
     f = t.reshape(k, n * n)
-    # the columns U of I - F*F formed in place, U the support of F; gone: off U
     on, outside = s._support if w is None else _split_support(f)
-    comp = f[:, on].conj().T @ f[:, on]
-    np.negative(comp, out=comp)
-    comp.flat[::len(comp) + 1] += 1.0
-    if outside.size:
-        comp, part = np.zeros((n * n, len(comp)), dtype=np.complex128), comp
-        comp[on] = part
+    # a coordinate T spans all of C^U: a slice keeps its part on U, and C,
+    # never multiplied, has no columns
+    coordinate = s._coordinate if w is None else _is_coordinate(f, outside)
+    comp = np.empty((n * n, 0), dtype=np.complex128)
+    if not coordinate:
+        # the columns U of I - F*F formed in place, U the support of F; gone: off U
+        comp = f[:, on].conj().T @ f[:, on]
+        np.negative(comp, out=comp)
+        comp.flat[::len(comp) + 1] += 1.0
+        if outside.size:
+            comp, part = np.zeros((n * n, len(comp)), dtype=np.complex128), comp
+            comp[on] = part
     comp = comp.reshape(n, n, -1)
     gone = np.bincount(outside, minlength=n * n).reshape(n, n)
     # live_rows[j, r]: row r of t_j has a nonzero entry (live_cols for
@@ -269,6 +276,8 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
         # is copy i, index e of its block b
         off, count = end, len(list(run))
         end = off + count * mult * d
+        if coordinate and (d == 1 or not outside.size):
+            continue  # d = 1 keeps a slice on the support of its t_j
         for x, rows, live, mask in sides:
             # the live slices (b, j, src): rows copies of src of t_j in
             # block b, gathered per block into a zero-padded stack
@@ -288,6 +297,9 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
             lost = np.sqrt(np.abs(stack) ** 2 @ mask[off:end].reshape(count, mult, d, n)
                            .transpose(0, 1, 3, 2).reshape(count, mult * n, d)
                            ) if outside.size and d > 1 else None
+            if coordinate:
+                worst.append(_max_relative(lost, scale[..., None]))
+                continue
             # chunks of at most dim S * n^2 residual entries; with more than
             # one copy per block the reshape below may copy each block's
             # mult n projector rows, and they count against the same bound
@@ -339,7 +351,13 @@ def verify_quantum_graph(graph: QuantumGraph,
     slices; the matmul is chunked so that no residual block holds more than
     dim S * n^2 entries. C holds n^2 u <= n^4 entries; n^4 and one residual
     block are guarded by DENSE_BYTES_LIMIT before any check, the commutant
-    included, is formed.
+    included, is formed. When T is coordinate (dim S = u and every entry
+    finite, as for classical graphs and their products, whose T is made of
+    matrix units), T spans all of C^U: C is never formed, and a slice's
+    residual is its norm off U alone, 0 for d = 1, where a slice stays on
+    the support of its t_j (a diagonal commutant takes no slice at all),
+    and the masked norm of the live slices for d > 1. On a coordinate S the
+    adjoint check, S.max_residual of S*, masks too (OperatorSubspace.max_residual).
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S

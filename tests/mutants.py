@@ -63,6 +63,8 @@ HOMOMORPHISM_ORACLE = ("tests/test_homomorphism_oracle.py::"
                        "test_verify_homomorphism_matches_the_per_pair_reference")
 CROSS_PAIRS = ("tests/test_homomorphism_oracle.py::"
                "test_cross_pairs_fail_where_every_diagonal_pair_passes")
+NOT_COORDINATE = ("tests/test_coordinate_route.py::"
+                  "test_two_cell_conjugated_and_nan_spaces_are_not_coordinate")
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,32 @@ MUTANTS = [
            "lost = _hs_norms(m.take(off, axis=1)[:, None]) if len(off) else 0.0",
            "lost = 0.0",
            (RESIDUAL_REFERENCE,)),
+    # a coordinate space (k = u) is all of C^U: x off U is still residual
+    Mutant("coordinate-drops-off-support", "opspace.py",
+           "return _max_relative(lost + on_u, _hs_norms(m[:, None]))",
+           "return _max_relative(on_u, _hs_norms(m[:, None]))",
+           (RESIDUAL_REFERENCE,
+            "tests/test_products.py::test_classical_crosscheck_fails_on_another_kinds_product")),
+    # k < u orthonormal matrices span only part of C^U
+    Mutant("coordinate-when-rank-short", "opspace.py",
+           "return len(flat) == flat.shape[1] - len(off) and",
+           "return len(flat) <= flat.shape[1] - len(off) and",
+           (RESIDUAL_REFERENCE, NOT_COORDINATE)),
+    # a NaN in place of a unit's entry keeps k = u, but spans nothing
+    Mutant("coordinate-ignores-non-finite", "opspace.py",
+           "len(off) and bool(np.isfinite(flat).all())",
+           "len(off)",
+           (RESIDUAL_NAN_BASIS, NOT_COORDINATE)),
+    # with d > 1 a commutant unit moves a slice off U
+    Mutant("bimodule-coordinate-skips-lost", "qgraph.py",
+           "if coordinate and (d == 1 or not outside.size):",
+           "if coordinate:",
+           ("tests/test_bimodule_properties.py::test_sparse_residual_matches_dense",)),
+    Mutant("orthonormalize-accepts-non-finite", "opspace.py",
+           "    if not finite.all():",
+           "    if False:",
+           ("tests/test_opspace.py::test_orthonormalize_rejects_a_non_finite_entry",
+            "tests/test_coordinate_route.py::test_products_refuse_a_non_finite_factor")),
     # a NaN in the basis must keep its coordinate on U: NaN > 0 is False
     Mutant("support-drops-nan", "opspace.py",
            "live = flat.any(axis=0)",

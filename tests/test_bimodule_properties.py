@@ -10,12 +10,14 @@ as built and many residuals are nonzero on one side only. A NaN in the
 basis, also one that a commutant unit moves off the support of S, must
 give a NaN residual and a failed check. Hypothesis runs
 derandomized with a fixed example count and no example database, so every
-run checks the same inputs.
+run checks the same inputs; fixed examples with commutant blocks of size
+d > 1 take the coordinate route (S spanned by matrix units, no projector)
+and the projection route (a two-cell element) whatever hypothesis draws.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantumgraphs import BlockAlgebra, OperatorSubspace, QuantumGraph
 
@@ -65,8 +67,38 @@ def is_permutation(w):
     return w is None or (np.isin(w, (0.0, 1.0)).all() and (w.sum(axis=0) == 1).all())
 
 
+def _fixed(blocks, cells, two_cell=()):
+    """Matrix units on ``cells``, plus one element on ``two_cell``, over
+    the algebra of ``blocks``."""
+    m = BlockAlgebra(blocks)
+    n = m.ambient_dim
+    mats = np.zeros((len(cells) + bool(two_cell), n * n), dtype=np.complex128)
+    mats[np.arange(len(cells)), cells] = 1.0
+    if two_cell:
+        mats[-1, list(two_cell)] = np.array([1.0, 1j]) / np.sqrt(2)
+    return QuantumGraph(OperatorSubspace(n, mats.reshape(-1, n, n)), m)
+
+
+# the commutant of I_2 is M_2, one block with d = 2 and no conjugator;
+# that of I_2 (x) M_2 is M_2 (x) I_2, d = 2 with a permutation conjugator
+COORDINATE = [_fixed([(2, 1)], [0]), _fixed([(2, 2)], [0, 5, 6, 9]),
+              _fixed([(2, 2), (1, 1)], [0, 2, 8, 20, 24])]
+TWO_CELL = [_fixed([(2, 1)], [3], two_cell=(0, 1)),
+            _fixed([(2, 2)], [0, 5], two_cell=(6, 9))]
+
+
+def test_the_fixed_examples_take_both_routes():
+    assert all(g.S._coordinate for g in COORDINATE)
+    assert not any(g.S._coordinate for g in TWO_CELL)
+
+
 @FIXED
 @given(sparse_graphs())
+@example(COORDINATE[0])
+@example(COORDINATE[1])
+@example(COORDINATE[2])
+@example(TWO_CELL[0])
+@example(TWO_CELL[1])
 def test_sparse_residual_matches_dense(g):
     """S and S* each match the dense residual. Left residuals of S* are the
     right residuals of S and the other way round, as a s_j* = (s_j a*)*

@@ -67,6 +67,24 @@ def test_orthonormalize_rejects_mixed_or_non_square_shapes(family):
         orthonormalize(family)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(1, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "infj", "1-infj"])
+def test_orthonormalize_rejects_a_non_finite_entry(bad):
+    """A NaN would make the SVD fail and an Inf collapse the rank to 0; either
+    is refused before the Gram test, with the first non-finite entry named."""
+    family = np.array([np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2))], dtype=complex)
+    family[1, 0, 1] = family[2, 1, 0] = bad
+    with pytest.raises(ValueError, match=r"matrix 1 entry \(0, 1\) is .*, not a finite"):
+        orthonormalize(family)
+    # beside the identity, and alone in a one-element family
+    with pytest.raises(ValueError, match=r"matrix 0 entry \(0, 0\)"):
+        orthonormalize([[[bad, 0], [0, 1]], np.eye(2)])
+    with pytest.raises(ValueError, match=r"matrix 0 entry \(1, 1\)"):
+        orthonormalize([np.diag([0, bad])])
+
+
 def test_project_is_idempotent_and_members_have_zero_residual():
     rng = np.random.default_rng(12)
     s = orthonormalize([randc(rng, 4, 4) for _ in range(5)])

@@ -200,24 +200,24 @@ def test_ambient_36_lexicographic_product_verifies(r6_lex):
 
 
 def test_ambient_36_verify_peak_memory(r6_lex):
-    """The whole verify peaked at 71.6 MiB under tracemalloc while the
-    adjoint check held four stack-sized arrays (68.5 MiB), and at 56.7 MiB
-    while the bimodule check multiplied every basis element's slices. With
-    only the nonzero slices multiplied it peaked at about 41 MiB, set by
-    the bimodule check's n^4 projector (41.0 MiB) above the adjoint check
-    (38.6 MiB). With the projector kept on the u = 756 of 1296 coordinates
-    where S's basis is nonzero, the bimodule check takes about 26.2 MiB and
-    the verify peaks at about 39.4 MiB in the adjoint check (38.6 MiB; the
-    support covers more than a quarter of the coordinates, so that check
-    takes every coordinate, as before)."""
+    """S of R6[R6] is coordinate: its 756 matrix units cover exactly the
+    u = 756 of 1296 coordinates where the basis is nonzero, so both checks
+    mask onto that support and multiply nothing. The adjoint check holds
+    the adjoint stack (15 MiB) and its columns off the support (6 MiB),
+    about 21.2 MiB, and the bimodule check, over the diagonal commutant,
+    no slice at all (about 0.1 MiB); the verify peaks at about 21.9 MiB. With a
+    projection in both checks it peaked at 39.4 MiB, 38.6 MiB in the
+    adjoint check (the basis, its conjugate and the coefficients) and
+    26.2 MiB in the bimodule check (the projector's n^2 u entries)."""
     _, p = r6_lex
+    assert p.S._coordinate
     commutant = p.M.commutant()
     verify_peak = traced_peak(lambda: qg.verify_quantum_graph(p))
     adjoint_peak = traced_peak(lambda: p.S.max_residual(adjoint(p.S.basis)))
     bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant))
-    assert verify_peak < 48 * 2 ** 20, verify_peak
-    assert adjoint_peak < 41 * 2 ** 20, adjoint_peak
-    assert bimodule_peak < 32 * 2 ** 20, bimodule_peak
+    assert verify_peak < 26 * 2 ** 20, verify_peak
+    assert adjoint_peak < 25 * 2 ** 20, adjoint_peak
+    assert bimodule_peak < 2 * 2 ** 20, bimodule_peak
 
 
 def test_verify_peak_memory_stays_far_below_the_product_stack():

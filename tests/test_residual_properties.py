@@ -7,11 +7,13 @@ Subspaces are dense random ones and sparse ones (matrix units on random
 cells and Kronecker products of two such), whose support leaves out
 coordinates, so that the residual off the support is exercised too.
 Hypothesis runs derandomized with a fixed example count and no example
-database, so every run checks the same stacks.
+database, so every run checks the same stacks; two fixed examples, one
+coordinate space (k = u: max_residual masks) and one with a two-cell element
+(the projection runs), are checked whatever hypothesis draws.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantumgraphs.opspace import OperatorSubspace, orthonormalize
 from test_opspace import randc
@@ -77,8 +79,33 @@ def cases(draw):
     return space, stack
 
 
+def _fixed(n, cells, two_cell=()):
+    """Phased matrix units on ``cells`` of M_n, plus one element spread
+    evenly over ``two_cell``, and a (2, 3) stack of which the first row
+    lies in their span."""
+    rng = np.random.default_rng(len(cells))
+    basis = np.zeros((len(cells) + bool(two_cell), n * n), dtype=np.complex128)
+    basis[np.arange(len(cells)), cells] = np.exp(2j * np.pi * rng.random(len(cells)))
+    if two_cell:
+        basis[-1, list(two_cell)] = 1 / np.sqrt(len(two_cell))
+    stack = randc(rng, 2, 3, n, n)
+    stack[0] = (randc(rng, 3, len(basis)) @ basis).reshape(3, n, n)
+    return OperatorSubspace(n, basis.reshape(-1, n, n)), stack
+
+
+COORDINATE = _fixed(3, [0, 2, 4, 6, 7])
+# k = 3, u = 4 of 16: six matrices project over the support only
+TWO_CELL = _fixed(4, [0, 5], two_cell=(1, 6))
+
+
+def test_the_fixed_examples_take_both_routes():
+    assert COORDINATE[0]._coordinate and not TWO_CELL[0]._coordinate
+
+
 @FIXED
 @given(cases())
+@example(COORDINATE)
+@example(TWO_CELL)
 def test_max_residual_matches_the_per_matrix_reference(case):
     space, stack = case
     got = space.max_residual(stack)
@@ -92,6 +119,8 @@ NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf])
 
 @FIXED
 @given(cases(), NON_FINITE, st.integers(0, 10 ** 6), st.booleans())
+@example(COORDINATE, np.inf, 0, True)  # ||x|| is Inf: the ratio alone is 0
+@example(TWO_CELL, np.inf, 0, True)
 def test_a_non_finite_entry_gives_a_non_finite_residual(case, bad, where, on_support):
     """The entry goes on the basis's support or off it, where it exists."""
     space, stack = case
@@ -110,6 +139,8 @@ def test_a_non_finite_entry_gives_a_non_finite_residual(case, bad, where, on_sup
 
 @FIXED
 @given(cases(), NON_FINITE, st.integers(0, 10 ** 6))
+@example(COORDINATE, np.nan, 0)  # in place of unit 0's entry: still k = u
+@example(TWO_CELL, np.nan, 0)
 def test_a_non_finite_basis_entry_gives_a_non_finite_residual(case, bad, where):
     """The entry goes into one basis element, off the support of the others
     where that leaves a cell, so that it alone puts its cell on U."""
