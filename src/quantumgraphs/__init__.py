@@ -22,8 +22,8 @@ from .coloring import (ColoringCertificate, HomomorphismCertificate,
                        pvm_from_bfold, reduce_bfold, sabidussi_witness,
                        scale_bfold, strong_coloring, to_local_cert,
                        verify_bfold, verify_coloring, verify_homomorphism)
-from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_norm, is_projection,
-                      orthonormalize, permute_systems, projection_meet)
+from .opspace import (DEFAULT_TOL, OperatorSubspace, hs_norm, orthonormalize,
+                      permute_systems, projection_meet)
 from .products import (LEXICOGRAPHIC_NOTE, PRODUCT_KINDS, cartesian,
                        categorical, classical_crosscheck, product)
 from .qgraph import (BlockAlgebra, QuantumGraph, complete_quantum_graph,

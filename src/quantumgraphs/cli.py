@@ -97,7 +97,7 @@ def _build_combine(args):
 def _build_scale(args):
     g = serialize.load_any_graph(args.graph)
     cert = serialize.load_certificate(args.certificate)
-    out = coloring.scale_bfold(g, cert, args.fold, args.tol)
+    out = coloring.scale_bfold(g, cert, args.fold)
     print("scaled: fold %d, %d colors" % (out.fold, out.colors))
     return g, out, coloring.verify_bfold
 

@@ -491,20 +491,24 @@ def combine_bfold(graph: QuantumGraph, cert1: ColoringCertificate,
                           cert1.fold + cert2.fold, n, d1 * d2)
 
 
-def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate, b: int,
-                tol: float = DEFAULT_TOL) -> ColoringCertificate:
-    """b palette-disjoint copies of a 1-fold coloring, joined into a b-fold
-    one by b - 1 combine_bfold calls."""
+def scale_bfold(graph: QuantumGraph, cert: ColoringCertificate,
+                b: int) -> ColoringCertificate:
+    """The repeated palette: color a + j c is P_a for j < b, on the 1-fold
+    c-coloring's own ancilla. A passing input gives a passing output: the
+    P'_x commute, the only nonzero b-subset products are Q_T = P_a for
+    T = {a, a + c, ...} and sum to I, two live subsets overlap only when
+    equal, and every (b+1)-subset holds two different base colors, so its
+    product vanishes. The stack is refused past DENSE_BYTES_LIMIT first."""
     if cert.fold != 1:
         raise ValueError("scale_bfold expects a 1-fold certificate")
     if b < 1:
         raise ValueError("fold must be >= 1")
     if cert.graph_dim != graph.n:
         raise ValueError("certificates do not live on the given graph")
-    out = cert
-    for _ in range(b - 1):
-        out = combine_bfold(graph, out, cert, tol)
-    return out
+    shape = (b * cert.colors, cert.total_dim, cert.total_dim)
+    check_dense_size(16 * prod(shape), "the repeated palette of shape %r" % (shape,))
+    return ColoringCertificate(cert.graph_dim, cert.ancilla_dim, b,
+                               np.tile(cert.projections, (b, 1, 1)))
 
 
 def lexicographic_coloring(certG: ColoringCertificate,

@@ -286,12 +286,6 @@ def permute_systems(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return x.reshape(lead + (*dims, *dims)).transpose(axes).reshape(lead + (n, n))
 
 
-def is_projection(p, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``p`` is a square projection within ``tol`` (HS norm)."""
-    p = as_matrix(p)
-    return p.shape[0] == p.shape[1] and _projection_residual(p) <= tol
-
-
 def projection_meet(p, q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Projection onto ran(p) intersect ran(q), for each pair of two
     (..., n, n) stacks of projections paired by broadcasting their leading

@@ -52,6 +52,7 @@ HOSTILE_KRAUS = ("tests/test_homomorphisms.py::"
 VERIFIER_GUARD_WINDOWS = ("tests/test_stack_properties.py::"
                           "test_verifier_stacks_at_their_narrow_windows")
 REDUCE_ORACLE = "tests/test_reduce_oracle.py"
+SCALE_ORACLE = "tests/test_scale_oracle.py"
 MEMBERSHIP = "tests/test_structure_properties.py::test_membership_matches_the_basis_route"
 RANGE_SANDWICH = ("tests/test_structure_properties.py::"
                   "test_range_sandwich_lies_between_dense_and_its_bound")
@@ -216,10 +217,18 @@ MUTANTS = [
            (REDUCE_ORACLE + "::test_local_certificates_reduce_bitwise_as_the_loop",
             REDUCE_ORACLE + "::test_conjugated_certificates_reduce_as_the_loop")),
     Mutant("scale-bfold-one-copy-short", "coloring.py",
-           "for _ in range(b - 1):",
-           "for _ in range(b - 2):",
+           "np.tile(cert.projections, (b, 1, 1))",
+           "np.tile(cert.projections, (b - 1, 1, 1))",
            ("tests/test_coloring.py::test_scale_bfold_stacks_disjoint_palettes",
-            TRANSFORM_REPORT + "[scale]")),
+            TRANSFORM_REPORT + "[scale]",
+            SCALE_ORACLE + "::test_repeated_bell_passes_and_forces_its_colors")),
+    # the b copies of each P_a side by side are a valid palette with its
+    # colors renumbered; only the bitwise comparison with the chain sees it
+    Mutant("scale-interleaves-copies", "coloring.py",
+           "np.tile(cert.projections, (b, 1, 1))",
+           "np.repeat(cert.projections, b, axis=0)",
+           (SCALE_ORACLE + "::test_local_colorings_scale_bitwise_as_the_combine_chain",
+            SCALE_ORACLE + "::test_witness_colorings_scale_bitwise_as_the_combine_chain")),
     # every transform's report must be of the certificate it built
     Mutant("transform-verifies-its-input", "cli.py",
            "rep = verify(graph, out, args.tol)",
@@ -236,6 +245,10 @@ MUTANTS = [
            "check_dense_size(16 * m * dim * dim,",
            "check_dense_size(0,",
            (GUARDED + "[combine]",)),
+    Mutant("scale-unguarded", "coloring.py",
+           'check_dense_size(16 * prod(shape), "the repeated palette',
+           'check_dense_size(0, "the repeated palette',
+           (GUARDED + "[scale]",)),
     Mutant("lift-unguarded", "coloring.py",
            "check_dense_size(16 * prod(lead) * d * d,",
            "check_dense_size(0,",

@@ -104,7 +104,7 @@ def test_criterion_06_lower_bound_extraction(bell2):
               "max residual %.2e, tol 1e-8" % worst)
 
 
-def test_criterion_07_constructive_transformations(c5_two_fold):
+def test_criterion_07_constructive_transformations(c5_two_fold, bell2):
     tol = 1e-9
     worst = 0.0
     ok = True
@@ -127,8 +127,11 @@ def test_criterion_07_constructive_transformations(c5_two_fold):
     k3 = qg.complete(3)
     k3_cert = qg.to_local_cert(k3, qg.bfold_exact(k3, 1)[1])
     k3q = qg.from_classical(k3)
-    scaled = qg.scale_bfold(k3q, k3_cert, 2, tol)
+    scaled = qg.scale_bfold(k3q, k3_cert, 2)
     track(qg.verify_bfold(k3q, scaled, tol))
+
+    kq2 = qg.complete_quantum_graph(qg.BlockAlgebra.full(2))
+    track(qg.verify_bfold(kq2, qg.scale_bfold(kq2, bell2, 2), tol))
 
     k2 = qg.complete(2)
     k2_cert = qg.to_local_cert(k2, qg.bfold_exact(k2, 1)[1])

@@ -224,6 +224,16 @@ def test_transform_strong_lift_and_cat_lift(files, capsys):
     assert code == EXIT_OK
 
 
+def test_transform_scale_of_an_entangled_coloring_passes(files, capsys):
+    """Bell2 repeated to fold 2 on the complete quantum graph over M_2."""
+    code = main(["color", "transform", "scale", files["bell2"], files["kq_m2"],
+                 "-b", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.startswith("scaled: fold 2, 8 colors\n")
+    assert out.rstrip().endswith("result: PASS")
+
+
 def test_transform_combine_failure_is_exit_one(files, capsys):
     code = main(["color", "transform", "combine", files["bell2"],
                  files["bell2"], files["kq_m2"]])
@@ -430,6 +440,7 @@ def test_huge_vertex_count_is_exit_three(tmp_path, name, text):
 REFUSALS = {
     "subsets": "the stack of 155117520 15-subset products",
     "combine": "the stack of 5 embedded subset products, meets and colors",
+    "scale": "the repeated palette of shape (5000, 128, 128)",
     "kneser": "Kneser graph K(2000000, 1000000) has at least",
     "strong-lift": "the lifted stack of shape (1, 1, 16384, 16384)",
     "lex": "the lifted stack of shape (1, 2, 16384, 16384)",
@@ -448,6 +459,8 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
     - the C(30, 15) subset products of a 4 KB fold-15 certificate, 20 GiB
     - combine's embedding of two ancilla-128 certificates into dimension
       16384, 4 GiB a matrix
+    - the 5000 copies of one ancilla-128 identity in the repeated palette,
+      1.22 GiB
     - K(2000000, 1000000), whose vertex count math.comb computes for longer
       than the 20-s timeout
     - the strong and lexicographic lifts of ancilla-128 certificates, 4 and
@@ -481,6 +494,8 @@ def test_enumerations_past_the_guard_are_exit_three(tmp_path, case):
         argv = ["color", "verify", "--bfold", str(graph), str(cert)]
     elif case == "combine":
         argv = ["color", "transform", "combine", str(cert), str(cert), str(graph)]
+    elif case == "scale":
+        argv = ["color", "transform", "scale", str(cert), str(graph), "-b", "5000"]
     elif case == "commutators":
         ser.save(str(cert), ser.certificate_to_obj(
             qg.ColoringCertificate(1, 12, 1, np.stack([np.eye(12)] * 800))))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quantumgraphs.opspace import (
-    DEFAULT_TOL, OperatorSubspace, adjoint, hs_norm, is_projection,
-    orthonormalize, permute_systems, projection_meet)
+    DEFAULT_TOL, OperatorSubspace, adjoint, hs_norm, orthonormalize,
+    permute_systems, projection_meet)
 
 
 def randc(rng, *shape):
@@ -203,15 +203,6 @@ def test_permute_systems_rejects_bad_input():
         permute_systems(x, [2, 2], [1, 0])  # dims do not multiply to 6
     with pytest.raises(ValueError):
         permute_systems(x, [2, 3], [0, 0])  # not a permutation
-
-
-def test_is_projection():
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    assert is_projection(p)
-    assert not is_projection(0.5 * p)
-    h = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    assert is_projection(h)
-    assert not is_projection(np.zeros((2, 3)))
 
 
 def test_projection_meet_on_commuting_diagonals():
