@@ -23,6 +23,10 @@ DEFAULT_TOL = 1e-9
 #: when deciding the rank of a spanning family.
 RANK_CUTOFF = 1e-10
 
+#: A family of k <= n^2 matrices of M_n is taken as already orthonormal when
+#: every entry of its Gram matrix is within this of the identity's.
+ORTHONORMAL_TOL = 1e-12
+
 
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a 2-d complex128 array."""
@@ -83,6 +87,19 @@ def _is_coordinate(flat: np.ndarray, off: np.ndarray) -> bool:
     return len(flat) == flat.shape[1] - len(off) and bool(np.isfinite(flat).all())
 
 
+def _kron_stack(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A_i (x) B_j for every pair of a (k, p, p) and an (l, q, q) stack, as a
+    (k l, pq, pq) stack with A_i (x) B_j at index i l + j: one broadcast
+    product whose axes are already in Kronecker order, written into ``out``
+    (a C-contiguous stack of that shape) when given. Each entry is the one
+    product a * b, so the stack equals np.kron's bitwise."""
+    (k, p), (l, q) = a.shape[:2], b.shape[:2]
+    if out is not None:
+        out = out.reshape(k, l, p, q, p, q)
+    x = np.multiply(a.reshape(k, 1, p, 1, p, 1), b.reshape(1, l, 1, q, 1, q), out=out)
+    return x.reshape(k * l, p * q, p * q)
+
+
 def _projection_residual(stack: np.ndarray) -> float:
     """max over the stack of ||P^2 - P|| and ||P - P*||."""
     return float(np.maximum(_worst(stack @ stack - stack),
@@ -115,6 +132,17 @@ class OperatorSubspace:
         self.ambient_dim = n
         self.basis = arr
         self._flat = arr.reshape(arr.shape[0], n * n)
+
+    @classmethod
+    def _adopt(cls, n: int, basis: np.ndarray) -> "OperatorSubspace":
+        """The subspace of a fresh C-contiguous complex (k, n, n) stack that
+        no one else holds, taken over without the constructor's copy and
+        made read-only; for stacks built here, never for outside input."""
+        out = cls.__new__(cls)
+        basis.flags.writeable = False
+        out.ambient_dim, out.basis = n, basis
+        out._flat = basis.reshape(len(basis), n * n)
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "OperatorSubspace":
@@ -198,8 +226,7 @@ class OperatorSubspace:
         Basis element ``i * other.dim + j`` is ``self[i] (x) other[j]``.
         """
         n = self.ambient_dim * other.ambient_dim
-        prods = np.kron(self.basis[:, None], other.basis[None])
-        return OperatorSubspace(n, prods.reshape(-1, n, n))
+        return OperatorSubspace._adopt(n, _kron_stack(self.basis, other.basis))
 
     def perp(self) -> "OperatorSubspace":
         """Orthogonal complement inside the full matrix space M_n."""
@@ -252,7 +279,7 @@ def orthonormalize(mats, ambient_dim: int | None = None) -> OperatorSubspace:
     if k <= n * n:
         live = flat[:, _split_support(flat)[0]]
         gram = live @ live.conj().T
-        if np.max(np.abs(gram - np.eye(k))) <= 1e-12:
+        if np.max(np.abs(gram - np.eye(k))) <= ORTHONORMAL_TOL:
             return OperatorSubspace(n, arr)
     _, sing, vh = np.linalg.svd(flat, full_matrices=False)
     rank = 0

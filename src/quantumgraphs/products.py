@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import PRODUCT_KINDS, ClassicalGraph, classical_product
-from .opspace import DEFAULT_TOL, OperatorSubspace, orthonormalize
+from .opspace import (DEFAULT_TOL, ORTHONORMAL_TOL, OperatorSubspace, _kron_stack,
+                      orthonormalize)
 from .qgraph import QuantumGraph, check_dense_size, from_classical
 from .report import VerificationReport
 
@@ -47,15 +48,51 @@ def _factor(g: QuantumGraph, which: str) -> OperatorSubspace:
     return OperatorSubspace.full(g.n)
 
 
+def _gram(x: OperatorSubspace, y: OperatorSubspace) -> np.ndarray:
+    """<x_i, y_j> for the bases of two subspaces of one M_n."""
+    return x._flat @ y._flat.conj().T
+
+
+def _family_deviation(left: dict, right: dict, pairs) -> float:
+    """max |Gram - I| of the family of parts left[a] (x) right[b], read off
+    the factors' Grams: block (p, q) of the family's Gram is
+    kron(G_L[a_p, a_q], G_R[b_p, b_q]). An off-diagonal block's largest
+    entry is max|G_L| max|G_R|; a diagonal block kron(A, B) - I is
+    A_ii B - I for i = k and A_ik B otherwise. Empty blocks count 0; a NaN
+    or Inf in a factor reaches its Grams and the result."""
+    def peak(x):
+        return np.max(np.abs(x), initial=0.0)
+
+    gl = {(a, c): _gram(left[a], left[c]) for a in left for c in left}
+    gr = {(b, d): _gram(right[b], right[d]) for b in right for d in right}
+    devs = []
+    for p, (a, b) in enumerate(pairs):
+        ga, gb = gl[a, a], gr[b, b]
+        diag = np.diagonal(ga)
+        devs += [peak(ga - np.diag(diag)) * peak(gb),
+                 peak(diag[:, None, None] * gb - np.eye(len(gb)))]
+        devs += [peak(gl[a, c]) * peak(gr[b, d]) for c, d in pairs[p + 1:]]
+    return float(np.max(devs))
+
+
 def product(g: QuantumGraph, h: QuantumGraph, kind: str) -> QuantumGraph:
     """Build one of the four products of quantum graphs.
 
-    The assembled spanning family is re-orthonormalized once at the end; for
-    valid inputs its parts are already mutually orthogonal, so the computed
-    dimension equals the exact counting formula for the kind. The family's
-    size is known from the factors' dimensions, so an input whose family
-    would exceed DENSE_BYTES_LIMIT raises SizeGuardError before any part
-    is built.
+    The spanning family is one (count, n, n) stack, count known from the
+    factors' dimensions, so an input whose family would exceed
+    DENSE_BYTES_LIMIT raises SizeGuardError before anything is built.
+    Each part's products A_i (x) B_j are written into their slice of it by
+    one broadcast multiplication. For valid inputs the parts are mutually
+    orthogonal and the family is already orthonormal, so the computed
+    dimension equals the exact counting formula for the kind. That is read
+    off the factors' small Gram matrices, not the count x count Gram of the
+    family: <A (x) B, C (x) D> = <A, C><B, D>, so block (p, q) of the
+    family's Gram is kron(G_L[a_p, a_q], G_R[b_p, b_q]). When count <= n^2
+    and every entry is within ORTHONORMAL_TOL of the identity's, the stack
+    becomes the basis as it is and the call peaks at about the family's
+    16 count n^2 bytes. Otherwise, or when a factor has a NaN or Inf entry
+    (its Grams carry it), the family goes to orthonormalize, which
+    re-orthonormalizes it by SVD or refuses the non-finite entry.
     """
     if kind not in _PART_FACTORS:
         raise ValueError("unknown product kind %r; expected one of %r"
@@ -68,8 +105,15 @@ def product(g: QuantumGraph, h: QuantumGraph, kind: str) -> QuantumGraph:
                      % (kind, count, n))
     left = {a: _factor(g, a) for a, _ in pairs}
     right = {b: _factor(h, b) for _, b in pairs}
-    parts = [left[a].tensor(right[b]).basis for a, b in pairs]
-    s = orthonormalize(np.concatenate(parts), ambient_dim=n)
+    family = np.empty((count, n, n), dtype=np.complex128)
+    end = 0
+    for a, b in pairs:
+        start, end = end, end + left[a].dim * right[b].dim
+        _kron_stack(left[a].basis, right[b].basis, out=family[start:end])
+    if count <= n * n and _family_deviation(left, right, pairs) <= ORTHONORMAL_TOL:
+        s = OperatorSubspace._adopt(n, family)
+    else:
+        s = orthonormalize(family, ambient_dim=n)
     return QuantumGraph(s, g.M.tensor(h.M))
 
 

@@ -169,13 +169,16 @@ class BlockAlgebra:
         (copy i, index j) of the new one, so the new conjugator is the old
         one, or I, with its columns reordered within each block. The double
         commutant restores the order and returns blocks and conjugator
-        exactly.
+        exactly. With no conjugator and every block (1, k) or (m, 1), as
+        for D_n, the order is the identity and the commutant has none.
         """
         order = [o + j * k + i
                  for (m, k), o in zip(self.blocks, self._offsets)
                  for i in range(k) for j in range(m)]
-        return BlockAlgebra(tuple((k, m) for m, k in self.blocks),
-                            self._frame().take(order, axis=1))
+        u = None
+        if self.conjugator is not None or order != list(range(self.ambient_dim)):
+            u = self._frame().take(order, axis=1)
+        return BlockAlgebra(tuple((k, m) for m, k in self.blocks), u)
 
     def tensor(self, other: "BlockAlgebra") -> "BlockAlgebra":
         """Tensor product algebra on the Kronecker-ordered ambient space.
@@ -184,7 +187,8 @@ class BlockAlgebra:
         then s. Copy (i, j) and index (p, q) of block (r, s) sit at
         (o_r + i k_r + p) n2 + (o_s + j k_s + q) in the Kronecker order, so
         the conjugator is U1 (x) U2, with I for a factor that has none and
-        its columns taken in that order.
+        its columns taken in that order; none when neither factor has one
+        and that order is the identity, as for D_n (x) D_m.
         """
         n2 = other.ambient_dim
         blocks = [(nr * ns, kr * ks) for nr, kr in self.blocks
@@ -195,8 +199,12 @@ class BlockAlgebra:
                  for i in range(nr) for j in range(ns)
                  for p in range(kr) for q in range(ks)]
         n = self.ambient_dim * n2
-        u = self._frame()[:, None, :, None] * other._frame()[None, :, None, :]
-        return BlockAlgebra(tuple(blocks), u.reshape(n, n).take(order, axis=1))
+        u = None
+        if (self.conjugator is not None or other.conjugator is not None
+                or order != list(range(n))):
+            u = self._frame()[:, None, :, None] * other._frame()[None, :, None, :]
+            u = u.reshape(n, n).take(order, axis=1)
+        return BlockAlgebra(tuple(blocks), u)
 
     def conjugated_by(self, u) -> "BlockAlgebra":
         """The algebra u* M u (same blocks, updated conjugator)."""
@@ -251,6 +259,8 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     # a coordinate T spans all of C^U: a slice keeps its part on U, and C,
     # never multiplied, has no columns
     coordinate = s._coordinate if w is None else _is_coordinate(f, outside)
+    if coordinate and (not outside.size or all(d == 1 for _, d in commutant.blocks)):
+        return 0.0  # every slice stays on U: nothing is off U, or every d is 1
     comp = np.empty((n * n, 0), dtype=np.complex128)
     if not coordinate:
         # the columns U of I - F*F formed in place, U the support of F; gone: off U
@@ -276,7 +286,7 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
         # is copy i, index e of its block b
         off, count = end, len(list(run))
         end = off + count * mult * d
-        if coordinate and (d == 1 or not outside.size):
+        if coordinate and d == 1:
             continue  # d = 1 keeps a slice on the support of its t_j
         for x, rows, live, mask in sides:
             # the live slices (b, j, src): rows copies of src of t_j in
@@ -322,6 +332,21 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
     return float(np.max(worst))
 
 
+def _adjoint_residual(s: OperatorSubspace) -> float:
+    """s.max_residual(adjoint(s.basis)). On a coordinate S (dim S = |U|,
+    every entry finite) that is, per s_j, the norm of s_j* off U over
+    max(1, ||s_j*||): s_j* is off U at the positions whose transpose is, so
+    the norm gathers s_j there in the same order and no adjoint copy is
+    formed; only the s_j with a nonzero norm get their ||s_j*||, from their
+    adjoints, so the residual is max_residual's bitwise."""
+    if not s._coordinate:
+        return s.max_residual(adjoint(s.basis))
+    n, off = s.ambient_dim, s._support[1]
+    lost = _hs_norms(s._flat.take(off % n * n + off // n, axis=1)[:, None])
+    rows = np.flatnonzero(lost)
+    return _max_relative(lost[rows], _hs_norms(adjoint(s.basis[rows])))
+
+
 def verify_quantum_graph(graph: QuantumGraph,
                          tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check the three axioms and report per-check residuals.
@@ -355,9 +380,11 @@ def verify_quantum_graph(graph: QuantumGraph,
     finite, as for classical graphs and their products, whose T is made of
     matrix units), T spans all of C^U: C is never formed, and a slice's
     residual is its norm off U alone, 0 for d = 1, where a slice stays on
-    the support of its t_j (a diagonal commutant takes no slice at all),
-    and the masked norm of the live slices for d > 1. On a coordinate S the
-    adjoint check, S.max_residual of S*, masks too (OperatorSubspace.max_residual).
+    the support of its t_j (a diagonal commutant takes no slice at all,
+    and neither does any commutant when U is everything), and the masked
+    norm of the live slices for d > 1. On a coordinate S the adjoint check,
+    S.max_residual of S*, reads the entries of S whose transposes lie off
+    U, with no copy of S* (_adjoint_residual).
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S
@@ -367,7 +394,7 @@ def verify_quantum_graph(graph: QuantumGraph,
     commutant = graph.M.commutant()
     mp = commutant.basis()
 
-    rep.add("adjoint_closed", s.max_residual(adjoint(s.basis)), tol)
+    rep.add("adjoint_closed", _adjoint_residual(s), tol)
     rep.add("bimodule", _bimodule_residual(s, commutant), tol)
     gram = s._flat @ mp._flat.conj().T
     rep.add("orthogonal_to_commutant", np.max(np.abs(gram), initial=0.0), tol)

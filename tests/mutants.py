@@ -66,6 +66,7 @@ CROSS_PAIRS = ("tests/test_homomorphism_oracle.py::"
                "test_cross_pairs_fail_where_every_diagonal_pair_passes")
 NOT_COORDINATE = ("tests/test_coordinate_route.py::"
                   "test_two_cell_conjugated_and_nan_spaces_are_not_coordinate")
+PRODUCT_ORACLE = "tests/test_product_oracle.py"
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ MUTANTS = [
            (RESIDUAL_NAN_BASIS, NOT_COORDINATE)),
     # with d > 1 a commutant unit moves a slice off U
     Mutant("bimodule-coordinate-skips-lost", "qgraph.py",
-           "if coordinate and (d == 1 or not outside.size):",
+           "if coordinate and d == 1:",
            "if coordinate:",
            ("tests/test_bimodule_properties.py::test_sparse_residual_matches_dense",)),
     Mutant("orthonormalize-accepts-non-finite", "opspace.py",
@@ -162,6 +163,20 @@ MUTANTS = [
            ("tests/test_product_properties.py::"
             "test_classical_product_matches_the_vertex_pair_definition",
             "tests/test_classical.py::test_classical_product_edge_counts")),
+    # parts that overlap are not orthonormal however orthonormal each one is
+    Mutant("product-gram-diagonal-blocks-only", "products.py",
+           "        devs += [peak(gl[a, c]) * peak(gr[b, d]) for c, d in pairs[p + 1:]]\n",
+           "",
+           (PRODUCT_ORACLE + "::test_overlapping_parts_take_the_svd_route_bitwise",)),
+    Mutant("product-part-factors-swapped", "products.py",
+           "_kron_stack(left[a].basis, right[b].basis, out=family[start:end])",
+           "_kron_stack(right[b].basis, left[a].basis, out=family[start:end])",
+           (PRODUCT_ORACLE + "::test_classical_pairs_match_bitwise",)),
+    # real factors have real Grams; only complex ones need the conjugate
+    Mutant("product-gram-drops-conj", "products.py",
+           "return x._flat @ y._flat.conj().T",
+           "return x._flat @ y._flat.T",
+           (PRODUCT_ORACLE + "::test_haar_conjugated_quantum_factors_match_bitwise",)),
     Mutant("strong-product-without-its-s-s-part", "products.py",
            '"strong": (("S", "C"), ("C", "S"), ("S", "S")),',
            '"strong": (("S", "C"), ("C", "S")),',

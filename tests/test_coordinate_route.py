@@ -18,7 +18,9 @@ import pytest
 
 import quantumgraphs as qg
 from quantumgraphs import BlockAlgebra, OperatorSubspace
+from quantumgraphs.opspace import adjoint
 from quantumgraphs.products import classical_crosscheck, product
+from quantumgraphs.qgraph import _adjoint_residual
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +82,30 @@ def test_products_refuse_a_non_finite_factor(bad):
     basis[0, 0, 1] = bad
     broken = qg.QuantumGraph(OperatorSubspace(2, basis), k2.M)
     for kind in qg.PRODUCT_KINDS:
-        # np.kron multiplies the Inf by zeros on the way
+        # the Kronecker write multiplies the Inf by zeros on the way
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="not a finite number"):
             product(broken, k2, kind)
+
+
+def test_adjoint_route_matches_max_residual_bitwise_on_coordinate_spaces():
+    """On a coordinate S the adjoint check reads S at the transposes of the
+    coordinates off its support; on k = u orthonormal rows mixed by a random
+    unitary over random supports, adjoint-closed or not, it gives
+    S.max_residual(S*) bitwise."""
+    rng = np.random.default_rng(5)
+    nonzero = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        u = int(rng.integers(1, n * n + 1))
+        cells = rng.choice(n * n, u, replace=False)
+        mix = np.linalg.qr(rng.standard_normal((u, u))
+                           + 1j * rng.standard_normal((u, u)))[0]
+        flat = np.zeros((u, n * n), dtype=complex)
+        flat[:, cells] = mix if rng.random() < 0.7 else np.eye(u)
+        s = OperatorSubspace(n, flat.reshape(u, n, n))
+        assert s._coordinate
+        got = _adjoint_residual(s)
+        assert got == s.max_residual(adjoint(s.basis)), (n, u)
+        nonzero += got > 0
+    assert nonzero > 100

@@ -7,11 +7,11 @@ import pytest
 
 import quantumgraphs as qg
 from quantumgraphs import products
-from quantumgraphs.opspace import adjoint, orthonormalize, permute_systems
+from quantumgraphs.opspace import orthonormalize, permute_systems
 from quantumgraphs.products import (
     LEXICOGRAPHIC_NOTE, classical_crosscheck, product)
 from quantumgraphs.qgraph import (
-    DENSE_BYTES_LIMIT, _bimodule_residual, check_dense_size)
+    DENSE_BYTES_LIMIT, _adjoint_residual, _bimodule_residual, check_dense_size)
 
 
 def embedded(g):
@@ -202,22 +202,24 @@ def test_ambient_36_lexicographic_product_verifies(r6_lex):
 def test_ambient_36_verify_peak_memory(r6_lex):
     """S of R6[R6] is coordinate: its 756 matrix units cover exactly the
     u = 756 of 1296 coordinates where the basis is nonzero, so both checks
-    mask onto that support and multiply nothing. The adjoint check holds
-    the adjoint stack (15 MiB) and its columns off the support (6 MiB),
-    about 21.2 MiB, and the bimodule check, over the diagonal commutant,
-    no slice at all (about 0.1 MiB); the verify peaks at about 21.9 MiB. With a
-    projection in both checks it peaked at 39.4 MiB, 38.6 MiB in the
-    adjoint check (the basis, its conjugate and the coefficients) and
-    26.2 MiB in the bimodule check (the projector's n^2 u entries)."""
+    mask onto that support and multiply nothing. The adjoint check gathers
+    the basis at the transposes of the 540 coordinates off the support
+    (6.2 MiB) and forms no adjoint, and the bimodule check, over the
+    diagonal commutant, returns before its masks (about 0.5 KiB); the
+    verify peaks at about 7.0 MiB. With the adjoint stack (15 MiB) and its
+    columns off the support (6 MiB) it peaked at 21.9 MiB, and with a
+    projection in both checks at 39.4 MiB, 38.6 MiB in the adjoint check
+    (the basis, its conjugate and the coefficients) and 26.2 MiB in the
+    bimodule check (the projector's n^2 u entries)."""
     _, p = r6_lex
     assert p.S._coordinate
     commutant = p.M.commutant()
     verify_peak = traced_peak(lambda: qg.verify_quantum_graph(p))
-    adjoint_peak = traced_peak(lambda: p.S.max_residual(adjoint(p.S.basis)))
+    adjoint_peak = traced_peak(lambda: _adjoint_residual(p.S))
     bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant))
-    assert verify_peak < 26 * 2 ** 20, verify_peak
-    assert adjoint_peak < 25 * 2 ** 20, adjoint_peak
-    assert bimodule_peak < 2 * 2 ** 20, bimodule_peak
+    assert verify_peak < 8 * 2 ** 20, verify_peak
+    assert adjoint_peak < 7 * 2 ** 20, adjoint_peak
+    assert bimodule_peak < 2 ** 16, bimodule_peak
 
 
 def test_verify_peak_memory_stays_far_below_the_product_stack():

@@ -5,6 +5,7 @@ import pytest
 
 import quantumgraphs as qg
 from quantumgraphs.opspace import DEFAULT_TOL, orthonormalize
+from quantumgraphs import qgraph
 from quantumgraphs.qgraph import BlockAlgebra
 
 
@@ -75,6 +76,37 @@ def test_tensor_commutant_consistency(haar):
     lhs = span_of(m1.tensor(m2).commutant())
     rhs = span_of(m1.commutant().tensor(m2.commutant()))
     assert lhs.equals_span(rhs)
+
+
+def test_identity_frames_are_never_formed(monkeypatch):
+    """With no conjugator, a commutant whose blocks are all (1, k) or
+    (m, 1), and a tensor product of two diagonal algebras or with one
+    block (1, k) on the right, keep the columns in order: they get no
+    conjugator, as the identity frame they used to form, check and drop
+    gave, and check_unitary is never called."""
+    d5, f3, mixed = (BlockAlgebra.diagonal(5), BlockAlgebra.full(3),
+                     BlockAlgebra([(1, 2), (3, 1)]))
+
+    def refuse(u, n, what, tol=DEFAULT_TOL):
+        raise AssertionError("check_unitary called on the %s" % what)
+
+    monkeypatch.setattr(qgraph, "check_unitary", refuse)
+    algebras = [d5, f3, mixed]
+    commutants = [m.commutant() for m in algebras]
+    tensors = [(m1, m2, m1.tensor(m2)) for m1, m2 in [
+        (d5, BlockAlgebra.diagonal(3)), (f3, BlockAlgebra.full(2)),
+        (mixed, f3), (BlockAlgebra([(2, 2)]), f3)]]
+    monkeypatch.undo()
+    for m, c in zip(algebras, commutants):
+        assert c.conjugator is None
+        assert c.blocks == tuple((k, n) for n, k in m.blocks)
+    for m1, m2, t in tensors:
+        assert t.conjugator is None
+        assert t.blocks == tuple((a * c, b * d) for a, b in m1.blocks for c, d in m2.blocks)
+        assert span_of(t).equals_span(orthonormalize(
+            [np.kron(a, b) for a in m1.basis().basis for b in m2.basis().basis]))
+    # a block with copies and size > 1 reorders its columns: a frame remains
+    assert BlockAlgebra([(2, 2)]).commutant().conjugator is not None
 
 
 def test_conjugated_by(haar):
