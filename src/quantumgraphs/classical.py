@@ -617,13 +617,16 @@ def bfold_exact(g: ClassicalGraph, b: int):
 
 def bounds_report(g: ClassicalGraph, h: ClassicalGraph) -> dict:
     """Chromatic data for all four products of two classical graphs plus the
-    product bound checks; all quantities exact integers."""
+    product bound checks; all quantities exact integers. Each distinct
+    product graph is solved once: strong and lexicographic coincide when H
+    is complete, and the products of edgeless factors coincide too."""
     chi_g = chromatic_exact(g)
     chi_h = chromatic_exact(h)
     b = chi_h
     chi_b_g, _ = bfold_exact(g, b)
-    prod_chi = {kind: chromatic_exact(classical_product(g, h, kind))
-                for kind in PRODUCT_KINDS}
+    graphs = {kind: classical_product(g, h, kind) for kind in PRODUCT_KINDS}
+    solved = {p: chromatic_exact(p) for p in set(graphs.values())}
+    prod_chi = {kind: solved[p] for kind, p in graphs.items()}
     lo, hi = max(chi_g, chi_h), min(chi_g, chi_h)
     rows = [
         ("max(chi(G), chi(H)) <= chi(cartesian)", lo, "<=", prod_chi["cartesian"]),

@@ -80,11 +80,22 @@ def _split_support(flat: np.ndarray):
     return (np.flatnonzero(live) if off.size else slice(None)), off
 
 
-def _is_coordinate(flat: np.ndarray, off: np.ndarray) -> bool:
+def _is_coordinate(flat: np.ndarray, off: np.ndarray, finite: bool) -> bool:
     """True when the k rows of a (k, N) array are nonzero on exactly k
-    columns, all but ``off``, and every entry is finite: k orthonormal rows
-    then span every vector supported on those columns."""
-    return len(flat) == flat.shape[1] - len(off) and bool(np.isfinite(flat).all())
+    columns, all but ``off``, and ``finite`` (every entry is finite) holds:
+    k orthonormal rows then span every vector supported on those columns."""
+    return len(flat) == flat.shape[1] - len(off) and finite
+
+
+def _residual_off(m: np.ndarray, off: np.ndarray) -> float:
+    """Largest ||x - Px|| / max(1, ||x||) over the rows x of an (r, N)
+    array, P the projection onto C^U, U every column but ``off``: P masks x
+    onto U, so the residual is x off U with no matmul, and on U it is
+    x_U - x_U, 0 for a finite row and NaN for one with a non-finite entry.
+    0.0 for no rows."""
+    lost = _hs_norms(m.take(off, axis=1)[:, None])
+    on_u = np.where(np.isfinite(m).all(axis=1), 0.0, np.nan)
+    return _max_relative(lost + on_u, _hs_norms(m[:, None]))
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -171,10 +182,9 @@ class OperatorSubspace:
         non-finite result. ``stack`` is never written to. The basis is zero off
         its support U. When the subspace is coordinate (dim k equal to u = |U|
         and every basis entry finite, as for matrix-unit bases) it is all of
-        C^U and P masks x onto U, so the residual is x off U with no matmul;
-        on U it is x_U - x_U, 0 for a finite x and NaN for one with a
-        non-finite entry. Otherwise c = x_U F_U*, the residual is x_U - c F_U
-        on U and x off U, and ||x|| = hypot(||x - Px||, ||c||). U is used if
+        C^U and P masks x onto U (_residual_off). Otherwise c = x_U F_U*, the
+        residual is x_U - c F_U on U and x off U, and
+        ||x|| = hypot(||x - Px||, ||c||). U is used if
         F_U, its conjugate, x_U, c and the residual (2ku + r(2u + k) entries,
         r matrices) fit in the rk + max(k, r) n^2 of c and the conjugated basis
         or residual that projecting over every coordinate holds; else that
@@ -188,9 +198,7 @@ class OperatorSubspace:
                              % (arr.shape, n, n))
         m = arr.reshape(-1, n * n)
         if self._coordinate:
-            lost = _hs_norms(m.take(self._support[1], axis=1)[:, None])
-            on_u = np.where(np.isfinite(m).all(axis=1), 0.0, np.nan)
-            return _max_relative(lost + on_u, _hs_norms(m[:, None]))
+            return _residual_off(m, self._support[1])
         # the largest u that fits; k orthonormal matrices need u >= k
         r, k = len(m), self.dim
         most = max(k, r) * n * n // (2 * (k + r))
@@ -205,8 +213,9 @@ class OperatorSubspace:
         return _max_relative(norms, np.hypot(norms, _hs_norms(coeff[:, None])))
 
     _support = cached_property(lambda self: _split_support(self._flat))
+    _finite = cached_property(lambda self: bool(np.isfinite(self._flat).all()))
     _coordinate = cached_property(
-        lambda self: _is_coordinate(self._flat, self._support[1]))
+        lambda self: _is_coordinate(self._flat, self._support[1], self._finite))
 
     def contains_subspace(self, other: "OperatorSubspace",
                           tol: float = DEFAULT_TOL) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classical import PRODUCT_KINDS, ClassicalGraph, classical_product
 from .opspace import (DEFAULT_TOL, ORTHONORMAL_TOL, OperatorSubspace, _kron_stack,
-                      orthonormalize)
+                      _residual_off, orthonormalize)
 from .qgraph import QuantumGraph, check_dense_size, from_classical
 from .report import VerificationReport
 
@@ -127,6 +127,30 @@ def categorical(g: QuantumGraph, h: QuantumGraph) -> QuantumGraph:
     return product(g, h, "categorical")
 
 
+def _span_residuals(s: OperatorSubspace, on: np.ndarray) -> list:
+    """[S against the units of U, C^U against S]: the max_residual of S
+    against the stack of matrix units at the positions U (``on``, a
+    boolean mask over the n^2 flat positions), and that of C^U against the
+    basis of S, bitwise, with no matrix unit formed when S is coordinate.
+    A coordinate S is all of C^V, V its support, so a unit lies in it
+    (0.0) or is orthogonal to it (1.0), and S lies in C^U (exactly 0.0, no
+    pass over its basis) when V does. Otherwise S in C^U is the norm of S
+    off U (_residual_off), and any other S projects the unit stack, which
+    is guarded."""
+    if s._coordinate:
+        units_in = float(on[s._support[1]].any())
+        if on[s._support[0]].all():
+            return [units_in, 0.0]
+    else:
+        n, count = s.ambient_dim, int(np.count_nonzero(on))
+        check_dense_size(16 * count * n * n,
+                         "the %d matrix units of dimension %d" % (count, n))
+        units = np.zeros((count, n * n), dtype=np.complex128)
+        units[np.arange(count), np.flatnonzero(on)] = 1.0
+        units_in = s.max_residual(units.reshape(count, n, n))
+    return [units_in, _residual_off(s._flat, np.flatnonzero(~on))]
+
+
 def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
                          tol: float = DEFAULT_TOL,
                          quantum: QuantumGraph | None = None) -> VerificationReport:
@@ -138,18 +162,36 @@ def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
     space and are compared by mutual containment without any relabeling.
     ``quantum`` carries product(from_classical(g), from_classical(h), kind)
     when the caller has built it already; without it the product is built
-    here. The classical side is always built here, from classical_product.
+    here. The classical side is always built here, from classical_product,
+    as boolean masks over the N^2 flat positions: the edge units E_uv and
+    E_vu of its edges, and the diagonal of D_N. Its edge space and algebra
+    are the coordinate spaces C^U of those positions, so each match reads
+    supports (_span_residuals): on a coordinate quantum side, a unit off
+    its support gives 1.0, and the quantum side lies in C^U, 0.0 with no
+    pass over its basis, when its support does. Every residual is that of
+    mutual max_residual against from_classical of the classical product,
+    bitwise; only a quantum side that is not coordinate is projected, and
+    only in the units direction. edge_space_dimension compares dim S with
+    the count of edge positions.
     """
     rep = VerificationReport("classical product cross-check (%s)" % kind)
     if quantum is None:
         quantum = product(from_classical(g), from_classical(h), kind)
-    prod_c = from_classical(classical_product(g, h, kind))
+    n = g.vertex_count * h.vertex_count
+    if quantum.n != n:
+        raise ValueError("quantum product on dimension %d, classical on %d"
+                         % (quantum.n, n))
+    ends = np.array(list(classical_product(g, h, kind).edges), dtype=np.intp)
+    u, v = ends.reshape(-1, 2).T
+    edges = np.zeros((n, n), dtype=bool)
+    edges[u, v] = edges[v, u] = True
+    diagonal = np.eye(n, dtype=bool)
 
-    for name, a, b in (("edge_space_match", quantum.S, prod_c.S),
-                       ("algebra_match", quantum.M.basis(), prod_c.M.basis())):
-        both = [a.max_residual(b.basis), b.max_residual(a.basis)]
-        rep.add(name, np.max(both), tol)
-    rep.add("edge_space_dimension", float(prod_c.S.dim != quantum.S.dim), tol)
+    for name, s, on in (("edge_space_match", quantum.S, edges),
+                        ("algebra_match", quantum.M.basis(), diagonal)):
+        rep.add(name, np.max(_span_residuals(s, on.ravel())), tol)
+    rep.add("edge_space_dimension",
+            float(np.count_nonzero(edges) != quantum.S.dim), tol)
     if kind == "lexicographic":
         rep.notes.append(LEXICOGRAPHIC_NOTE)
     return rep

@@ -244,21 +244,47 @@ class QuantumGraph:
         return "QuantumGraph(n=%d, dim S=%d, M=%r)" % (self.n, self.S.dim, self.M)
 
 
-def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra) -> float:
+def _commutant_overlap(s: OperatorSubspace, commutant: BlockAlgebra,
+                       t: np.ndarray) -> float:
+    """max |<s_j, a>| over the basis elements s_j of S and the basis units
+    a of the commutant, read off T = W* S W in the commutant's frame, with
+    no basis of the commutant formed: <s_j, a> = <t_j, unit (p, q)> =
+    (1/sqrt m) sum_i t_j[o+id+p, o+id+q] for the unit (p, q) of a block
+    (m, d) at offset o. One gather per run of equal blocks. A NaN or Inf
+    in S gives NaN, as the products with 0 of a Gram would; 0.0 for
+    dim S = 0."""
+    if not s._finite:
+        return float("nan")
+    worst = [0.0]
+    end = 0
+    for (mult, d), run in itertools.groupby(commutant.blocks):
+        # copy c = b mult + i of the run is copy i of its block b
+        off, count = end, len(list(run))
+        copies = count * mult
+        end = off + copies * d
+        c = np.arange(copies)
+        diag = t[:, off:end, off:end].reshape(len(t), copies, d, copies, d)[:, c, :, c]
+        units = diag.reshape(count, mult, len(t), d, d).sum(axis=1)
+        worst.append(np.max(np.abs(units), initial=0.0) / np.sqrt(mult))
+    return float(np.max(worst))
+
+
+def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra,
+                       t: np.ndarray) -> float:
     """Largest residual ||x - P_S x|| / max(1, ||x||) over x = a s_j and
     x = s_j a, for every basis unit a of the commutant and basis element
     s_j of S, without forming the products: per run of equal commutant
     blocks and side, one stack of live slices and one chunked batched
     matmul per target index, or no matmul when S is coordinate in the
-    commutant's frame; see verify_quantum_graph."""
+    commutant's frame. ``t`` is T = W* S W; see verify_quantum_graph."""
     n, k = s.ambient_dim, s.dim
     w = commutant.conjugator
-    t = s.basis if w is None else w.conj().T @ s.basis @ w
     f = t.reshape(k, n * n)
     on, outside = s._support if w is None else _split_support(f)
     # a coordinate T spans all of C^U: a slice keeps its part on U, and C,
     # never multiplied, has no columns
-    coordinate = s._coordinate if w is None else _is_coordinate(f, outside)
+    coordinate = (s._coordinate if w is None
+                  else _is_coordinate(f, outside, bool(np.isfinite(f).all())))
     if coordinate and (not outside.size or all(d == 1 for _, d in commutant.blocks)):
         return 0.0  # every slice stays on U: nothing is off U, or every d is 1
     comp = np.empty((n * n, 0), dtype=np.complex128)
@@ -338,11 +364,18 @@ def _adjoint_residual(s: OperatorSubspace) -> float:
     max(1, ||s_j*||): s_j* is off U at the positions whose transpose is, so
     the norm gathers s_j there in the same order and no adjoint copy is
     formed; only the s_j with a nonzero norm get their ||s_j*||, from their
-    adjoints, so the residual is max_residual's bitwise."""
+    adjoints, so the residual is max_residual's bitwise. When the positions
+    off U are also the transposes of the positions off U (U symmetric, as
+    for every classical graph and product of them), no transposed position
+    lies on U, nothing of any s_j* lands off U, and the result is 0.0 with
+    no gather."""
     if not s._coordinate:
         return s.max_residual(adjoint(s.basis))
     n, off = s.ambient_dim, s._support[1]
-    lost = _hs_norms(s._flat.take(off % n * n + off // n, axis=1)[:, None])
+    moved = off % n * n + off // n
+    if np.array_equal(np.sort(moved), off):
+        return 0.0
+    lost = _hs_norms(s._flat.take(moved, axis=1)[:, None])
     rows = np.flatnonzero(lost)
     return _max_relative(lost[rows], _hs_norms(adjoint(s.basis[rows])))
 
@@ -375,16 +408,21 @@ def verify_quantum_graph(graph: QuantumGraph,
     against strided views of C gives the residuals of every block's
     slices; the matmul is chunked so that no residual block holds more than
     dim S * n^2 entries. C holds n^2 u <= n^4 entries; n^4 and one residual
-    block are guarded by DENSE_BYTES_LIMIT before any check, the commutant
-    included, is formed. When T is coordinate (dim S = u and every entry
-    finite, as for classical graphs and their products, whose T is made of
-    matrix units), T spans all of C^U: C is never formed, and a slice's
-    residual is its norm off U alone, 0 for d = 1, where a slice stays on
-    the support of its t_j (a diagonal commutant takes no slice at all,
-    and neither does any commutant when U is everything), and the masked
-    norm of the live slices for d > 1. On a coordinate S the adjoint check,
+    block are guarded by DENSE_BYTES_LIMIT before any check is run; the
+    commutant's basis is never formed. When T is coordinate (dim S = u and
+    every entry finite, as for classical graphs and their products, whose
+    T is made of matrix units), T spans all of C^U: C is never formed, and
+    a slice's residual is its norm off U alone, 0 for d = 1, where a slice
+    stays on the support of its t_j (a diagonal commutant takes no slice
+    at all, and neither does any commutant when U is everything), and the
+    masked norm of the live slices for d > 1. On a coordinate S the adjoint check,
     S.max_residual of S*, reads the entries of S whose transposes lie off
-    U, with no copy of S* (_adjoint_residual).
+    U, with no copy of S*, and none at all when U is symmetric
+    (_adjoint_residual). The orthogonality to M' is read off the same T:
+    the overlap of t_j with the unit (p, q) above is (1/sqrt m) sum_i
+    t_j[o+id+p, o+id+q], a sum over the block's copies of one entry each,
+    so no Gram with the commutant's basis is formed (_commutant_overlap);
+    a NaN or Inf in S gives NaN there, from S's cached finiteness flag.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S
@@ -392,12 +430,12 @@ def verify_quantum_graph(graph: QuantumGraph,
     check_dense_size(16 * n * n * (n * n + s.dim),
                      "the bimodule check on dimension %d" % n)
     commutant = graph.M.commutant()
-    mp = commutant.basis()
+    w = commutant.conjugator
+    t = s.basis if w is None else w.conj().T @ s.basis @ w
 
     rep.add("adjoint_closed", _adjoint_residual(s), tol)
-    rep.add("bimodule", _bimodule_residual(s, commutant), tol)
-    gram = s._flat @ mp._flat.conj().T
-    rep.add("orthogonal_to_commutant", np.max(np.abs(gram), initial=0.0), tol)
+    rep.add("bimodule", _bimodule_residual(s, commutant, t), tol)
+    rep.add("orthogonal_to_commutant", _commutant_overlap(s, commutant, t), tol)
     return rep
 
 

@@ -67,6 +67,12 @@ CROSS_PAIRS = ("tests/test_homomorphism_oracle.py::"
 NOT_COORDINATE = ("tests/test_coordinate_route.py::"
                   "test_two_cell_conjugated_and_nan_spaces_are_not_coordinate")
 PRODUCT_ORACLE = "tests/test_product_oracle.py"
+CROSSCHECK_ORACLE = "tests/test_crosscheck_oracle.py"
+OVERLAP = "tests/test_overlap_properties.py"
+PROPER_SUBGRAPH = (CROSSCHECK_ORACLE
+                   + "::test_a_proper_subgraph_on_the_classical_side_fails")
+OTHER_KIND = ("tests/test_products.py::"
+              "test_classical_crosscheck_fails_on_another_kinds_product")
 
 
 @dataclass(frozen=True)
@@ -114,12 +120,13 @@ MUTANTS = [
            "lost = _hs_norms(m.take(off, axis=1)[:, None]) if len(off) else 0.0",
            "lost = 0.0",
            (RESIDUAL_REFERENCE,)),
-    # a coordinate space (k = u) is all of C^U: x off U is still residual
+    # a coordinate space (k = u) is all of C^U: x off U is still residual;
+    # in the cross-check only a quantum side larger than the classical one
+    # has a part off the classical support
     Mutant("coordinate-drops-off-support", "opspace.py",
            "return _max_relative(lost + on_u, _hs_norms(m[:, None]))",
            "return _max_relative(on_u, _hs_norms(m[:, None]))",
-           (RESIDUAL_REFERENCE,
-            "tests/test_products.py::test_classical_crosscheck_fails_on_another_kinds_product")),
+           (RESIDUAL_REFERENCE, PROPER_SUBGRAPH)),
     # k < u orthonormal matrices span only part of C^U
     Mutant("coordinate-when-rank-short", "opspace.py",
            "return len(flat) == flat.shape[1] - len(off) and",
@@ -127,7 +134,7 @@ MUTANTS = [
            (RESIDUAL_REFERENCE, NOT_COORDINATE)),
     # a NaN in place of a unit's entry keeps k = u, but spans nothing
     Mutant("coordinate-ignores-non-finite", "opspace.py",
-           "len(off) and bool(np.isfinite(flat).all())",
+           "len(off) and finite",
            "len(off)",
            (RESIDUAL_NAN_BASIS, NOT_COORDINATE)),
     # with d > 1 a commutant unit moves a slice off U
@@ -152,11 +159,43 @@ MUTANTS = [
            ("tests/test_bimodule_oracle.py::test_nan_in_the_edge_space_fails_without_raising",
             "tests/test_bimodule_properties.py::test_a_nan_in_the_edge_space_fails",
             "tests/test_coloring.py::test_nan_entry_fails_the_coloring_condition")),
+    # the classical edge positions read off the quantum side's own support
     Mutant("crosscheck-against-itself", "products.py",
-           "prod_c = from_classical(classical_product(g, h, kind))",
-           "prod_c = quantum",
-           ("tests/test_products.py::test_classical_crosscheck_fails_on_another_kinds_product",
+           '("edge_space_match", quantum.S, edges),',
+           '("edge_space_match", quantum.S, quantum.S.basis.any(axis=0)),',
+           (OTHER_KIND, PROPER_SUBGRAPH,
             "tests/test_cli.py::test_product_classical_fails_on_another_kinds_product")),
+    # a classical edge unit off a coordinate quantum side is orthogonal to it
+    Mutant("crosscheck-units-off-support-ignored", "products.py",
+           "units_in = float(on[s._support[1]].any())",
+           "units_in = 0.0",
+           (OTHER_KIND,
+            CROSSCHECK_ORACLE + "::test_classical_pairs_match_the_reference_bitwise")),
+    # s_j* lands off U where a transpose of a position off U lies on U
+    Mutant("adjoint-early-exit-tests-u", "qgraph.py",
+           "if np.array_equal(np.sort(moved), off):",
+           "if np.array_equal(np.sort(off), off):",
+           ("tests/test_coordinate_route.py::"
+            "test_adjoint_route_matches_max_residual_bitwise_on_coordinate_spaces",)),
+    # a commutant unit sums its block's copies
+    Mutant("overlap-takes-one-copy", "qgraph.py",
+           "units = diag.reshape(count, mult, len(t), d, d).sum(axis=1)",
+           "units = diag.reshape(count, mult, len(t), d, d)[:, 0]",
+           (OVERLAP + "::test_overlap_matches_the_gram",)),
+    # a NaN off the commutant's diagonal blocks is never gathered
+    Mutant("overlap-ignores-non-finite", "qgraph.py",
+           "    if not s._finite:\n        return float(\"nan\")\n",
+           "",
+           (OVERLAP + "::test_a_non_finite_entry_anywhere_gives_nan",)),
+    # the four products share one vertex count, not one graph
+    Mutant("bounds-memo-keyed-by-vertex-count", "classical.py",
+           "solved = {p: chromatic_exact(p) for p in set(graphs.values())}\n"
+           "    prod_chi = {kind: solved[p] for kind, p in graphs.items()}",
+           "solved = {p.vertex_count: chromatic_exact(p) for p in set(graphs.values())}\n"
+           "    prod_chi = {kind: solved[p.vertex_count] for kind, p in graphs.items()}",
+           ("tests/test_cli.py::test_report_bounds_matches_golden",
+            "tests/test_classical.py::"
+            "test_bounds_report_solves_each_distinct_product_once")),
     Mutant("classical-product-without-g-edges", "classical.py",
            "edges = [(v * nh + a, w * nh + b) for v, w in g.edges for a, b in along]",
            "edges = []",

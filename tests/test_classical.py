@@ -255,6 +255,27 @@ def test_classical_product_edge_counts():
         classical_product(g, h, "tensor")
 
 
+@pytest.mark.parametrize("g, h, distinct", [
+    (qg.cycle(7), qg.complete(3), 3),   # strong and lexicographic coincide
+    (qg.cycle(5), qg.path(3), 4),
+    (qg.complete(1), qg.complete(1), 1),  # every product of K1 is K1
+])
+def test_bounds_report_solves_each_distinct_product_once(monkeypatch, g, h, distinct):
+    from quantumgraphs import classical
+    solved = []
+
+    def counted(graph):
+        solved.append(graph)
+        return chromatic_exact(graph)
+
+    monkeypatch.setattr(classical, "chromatic_exact", counted)
+    rep = classical.bounds_report(g, h)
+    assert solved[:2] == [g, h]
+    assert len(solved) == 2 + distinct == 2 + len(set(solved[2:]))
+    assert rep["products"] == {kind: chromatic_exact(classical_product(g, h, kind))
+                               for kind in qg.PRODUCT_KINDS}
+
+
 def test_classical_product_vertex_indexing():
     # pair (v, a) lives at index v * |V(H)| + a
     g, h = qg.path(3), qg.complete(2)

@@ -90,15 +90,20 @@ def test_products_refuse_a_non_finite_factor(bad):
 
 def test_adjoint_route_matches_max_residual_bitwise_on_coordinate_spaces():
     """On a coordinate S the adjoint check reads S at the transposes of the
-    coordinates off its support; on k = u orthonormal rows mixed by a random
-    unitary over random supports, adjoint-closed or not, it gives
-    S.max_residual(S*) bitwise."""
+    coordinates off its support, and returns 0.0 with no gather when the
+    support is symmetric; on k = u orthonormal rows mixed by a random
+    unitary over random supports, a third of them symmetric, adjoint-closed
+    or not, it gives S.max_residual(S*) bitwise."""
     rng = np.random.default_rng(5)
-    nonzero = 0
+    nonzero = symmetric = 0
     for _ in range(300):
         n = int(rng.integers(1, 6))
         u = int(rng.integers(1, n * n + 1))
         cells = rng.choice(n * n, u, replace=False)
+        if rng.random() < 1 / 3:
+            cells = np.union1d(cells, cells % n * n + cells // n)
+            u = len(cells)
+            symmetric += 1
         mix = np.linalg.qr(rng.standard_normal((u, u))
                            + 1j * rng.standard_normal((u, u)))[0]
         flat = np.zeros((u, n * n), dtype=complex)
@@ -108,4 +113,4 @@ def test_adjoint_route_matches_max_residual_bitwise_on_coordinate_spaces():
         got = _adjoint_residual(s)
         assert got == s.max_residual(adjoint(s.basis)), (n, u)
         nonzero += got > 0
-    assert nonzero > 100
+    assert nonzero > 100 and symmetric > 80

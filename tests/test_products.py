@@ -202,23 +202,26 @@ def test_ambient_36_lexicographic_product_verifies(r6_lex):
 def test_ambient_36_verify_peak_memory(r6_lex):
     """S of R6[R6] is coordinate: its 756 matrix units cover exactly the
     u = 756 of 1296 coordinates where the basis is nonzero, so both checks
-    mask onto that support and multiply nothing. The adjoint check gathers
-    the basis at the transposes of the 540 coordinates off the support
-    (6.2 MiB) and forms no adjoint, and the bimodule check, over the
-    diagonal commutant, returns before its masks (about 0.5 KiB); the
-    verify peaks at about 7.0 MiB. With the adjoint stack (15 MiB) and its
-    columns off the support (6 MiB) it peaked at 21.9 MiB, and with a
-    projection in both checks at 39.4 MiB, 38.6 MiB in the adjoint check
-    (the basis, its conjugate and the coefficients) and 26.2 MiB in the
-    bimodule check (the projector's n^2 u entries)."""
+    mask onto that support and multiply nothing. The support is symmetric,
+    so the adjoint check returns before it gathers anything (about 13 KiB
+    of positions); the bimodule check, over the diagonal commutant, returns
+    before its masks (about 0.5 KiB); and the orthogonality check gathers
+    and sums the diagonals of the basis (about 1 MiB) with no basis of the
+    commutant, so the verify peaks at about 1.1 MiB. When the adjoint check gathered the
+    basis at the transposes of the 540 coordinates off the support (6.2
+    MiB) it peaked at 7.0 MiB; with the adjoint stack (15 MiB) and its
+    columns off the support (6 MiB) at 21.9 MiB, and with a projection in
+    both checks at 39.4 MiB, 38.6 MiB in the adjoint check (the basis, its
+    conjugate and the coefficients) and 26.2 MiB in the bimodule check (the
+    projector's n^2 u entries)."""
     _, p = r6_lex
     assert p.S._coordinate
     commutant = p.M.commutant()
     verify_peak = traced_peak(lambda: qg.verify_quantum_graph(p))
     adjoint_peak = traced_peak(lambda: _adjoint_residual(p.S))
-    bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant))
-    assert verify_peak < 8 * 2 ** 20, verify_peak
-    assert adjoint_peak < 7 * 2 ** 20, adjoint_peak
+    bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant, p.S.basis))
+    assert verify_peak < 2 * 2 ** 20, verify_peak
+    assert adjoint_peak < 2 ** 16, adjoint_peak
     assert bimodule_peak < 2 ** 16, bimodule_peak
 
 
