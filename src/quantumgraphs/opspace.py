@@ -49,11 +49,12 @@ def hs_norm(a) -> float:
 
 def check_unitary(u, n: int, what: str, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``u`` as an n x n complex matrix; ValueError unless ||u* u - I|| <= tol
-    (HS norm). ``what`` names the matrix in the message."""
+    (HS norm), so a NaN or Inf entry, whose norm compares false, is refused
+    too. ``what`` names the matrix in the message."""
     u = as_matrix(u)
     if u.shape != (n, n):
         raise ValueError("%s shape %r does not match dimension %d" % (what, u.shape, n))
-    if hs_norm(u.conj().T @ u - np.eye(n)) > tol:
+    if not hs_norm(u.conj().T @ u - np.eye(n)) <= tol:
         raise ValueError("%s is not unitary" % what)
     return u
 

@@ -168,11 +168,13 @@ def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
     are the coordinate spaces C^U of those positions, so each match reads
     supports (_span_residuals): on a coordinate quantum side, a unit off
     its support gives 1.0, and the quantum side lies in C^U, 0.0 with no
-    pass over its basis, when its support does. Every residual is that of
-    mutual max_residual against from_classical of the classical product,
-    bitwise; only a quantum side that is not coordinate is projected, and
-    only in the units direction. edge_space_dimension compares dim S with
-    the count of edge positions.
+    pass over its basis, when its support does. A quantum algebra with no
+    conjugator and every block (1, 1) is D_N itself, so algebra_match is
+    0.0 with no basis formed. Every residual is that of mutual max_residual
+    against from_classical of the classical product, bitwise; only a
+    quantum side that is not coordinate is projected, and only in the
+    units direction. edge_space_dimension compares dim S with the count of
+    edge positions.
     """
     rep = VerificationReport("classical product cross-check (%s)" % kind)
     if quantum is None:
@@ -187,9 +189,13 @@ def classical_crosscheck(g: ClassicalGraph, h: ClassicalGraph, kind: str,
     edges[u, v] = edges[v, u] = True
     diagonal = np.eye(n, dtype=bool)
 
-    for name, s, on in (("edge_space_match", quantum.S, edges),
-                        ("algebra_match", quantum.M.basis(), diagonal)):
-        rep.add(name, np.max(_span_residuals(s, on.ravel())), tol)
+    rep.add("edge_space_match", np.max(_span_residuals(quantum.S, edges.ravel())), tol)
+    m = quantum.M
+    if m.conjugator is None and all(b == (1, 1) for b in m.blocks):
+        algebra = [0.0, 0.0]  # D_N is C^U, U the diagonal: its basis is its units
+    else:
+        algebra = _span_residuals(m.basis(), diagonal.ravel())
+    rep.add("algebra_match", np.max(algebra), tol)
     rep.add("edge_space_dimension",
             float(np.count_nonzero(edges) != quantum.S.dim), tol)
     if kind == "lexicographic":

@@ -9,14 +9,14 @@ with M the diagonal algebra.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .classical import SizeGuardError
-from .opspace import (DEFAULT_TOL, OperatorSubspace, _hs_norms, _is_coordinate,
-                      _max_relative, _split_support, adjoint, as_matrix,
-                      check_unitary)
+from .opspace import (DEFAULT_TOL, ORTHONORMAL_TOL, OperatorSubspace, _hs_norms,
+                      _is_coordinate, _max_relative, _split_support, adjoint,
+                      as_matrix, check_unitary)
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -269,40 +269,99 @@ def _commutant_overlap(s: OperatorSubspace, commutant: BlockAlgebra,
     return float(np.max(worst))
 
 
+def _sketch(u: int, r: int) -> np.ndarray:
+    """A (u, r) complex Gaussian matrix from a fixed seed: the same one on
+    every call."""
+    return np.random.default_rng(0).standard_normal((u, 2 * r)).view(np.complex128)
+
+
+def _complement_factor(fu: np.ndarray) -> np.ndarray:
+    """A u x w factor C with C C* = I - F* F, for F the k orthonormal rows
+    of a finite (k, u) array, so that ||x (I - F* F)|| = ||x C|| for every
+    row x. With r = u - k and 4 r <= u, C is an orthonormal basis G of the
+    complement, the kernel of F (w = r): a fixed-seed Gaussian sketch
+    (_sketch) projected off F twice and orthonormalized by QR. G is kept
+    only if k + r = u, max |F G| and max |G* G - I| are within
+    ORTHONORMAL_TOL, which makes [F; G] an orthonormal basis of C^u;
+    otherwise G is the last r right singular vectors of a full SVD of F,
+    so the sketch never changes a residual beyond rounding. With a larger
+    complement C is the projector I - F* F itself (w = u)."""
+    k, u = fu.shape
+    r = u - k
+    if 0 < 4 * r <= u:
+        g = _sketch(u, r)
+        for _ in range(2):
+            g -= fu.conj().T @ (fu @ g)
+        g = np.linalg.qr(g)[0]
+        if (k + g.shape[1] == u and np.max(np.abs(fu @ g)) <= ORTHONORMAL_TOL
+                and np.max(np.abs(g.conj().T @ g - np.eye(r))) <= ORTHONORMAL_TOL):
+            return g
+        return np.linalg.svd(fu)[2][u - r:].conj().T
+    comp = fu.conj().T @ fu
+    np.negative(comp, out=comp)
+    comp.flat[::u + 1] += 1.0
+    return comp
+
+
+class _Frame(NamedTuple):
+    """S in the commutant's standard frame: T = W* S W as a (k, n, n) stack,
+    the support U of its flattened basis F (``on``, a full slice when
+    ``outside``, the positions off U, is empty) and the complement factor
+    C of F on U (_complement_factor). ``factor`` is None when T is
+    coordinate, which spans all of C^U, or when S has a NaN or Inf entry."""
+    t: np.ndarray
+    on: np.ndarray | slice
+    outside: np.ndarray
+    factor: np.ndarray | None
+
+
+def _frame(s: OperatorSubspace, commutant: BlockAlgebra) -> _Frame:
+    n, k = s.ambient_dim, s.dim
+    w = commutant.conjugator
+    t = s.basis if w is None else w.conj().T @ s.basis @ w
+    f = t.reshape(k, n * n)
+    on, outside = s._support if w is None else _split_support(f)
+    coordinate = (s._coordinate if w is None
+                  else _is_coordinate(f, outside, bool(np.isfinite(f).all())))
+    factor = None if coordinate or not s._finite else _complement_factor(f[:, on])
+    return _Frame(t, on, outside, factor)
+
+
 def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra,
-                       t: np.ndarray) -> float:
+                       frame: _Frame) -> float:
     """Largest residual ||x - P_S x|| / max(1, ||x||) over x = a s_j and
     x = s_j a, for every basis unit a of the commutant and basis element
     s_j of S, without forming the products: per run of equal commutant
     blocks and side, one stack of live slices and one chunked batched
-    matmul per target index, or no matmul when S is coordinate in the
-    commutant's frame. ``t`` is T = W* S W; see verify_quantum_graph."""
+    matmul per target index against the complement factor C, or no matmul
+    when T is coordinate (no factor). ``frame`` holds T = W* S W and C:
+    for a complement of r <= u / 4 dimensions an orthonormal basis of it,
+    from a fixed-seed sketch that a certificate accepts or else from an
+    SVD, and otherwise the projector's columns (_complement_factor); see
+    verify_quantum_graph. A NaN or Inf in S gives NaN."""
+    if not s._finite:
+        return float("nan")
     n, k = s.ambient_dim, s.dim
-    w = commutant.conjugator
-    f = t.reshape(k, n * n)
-    on, outside = s._support if w is None else _split_support(f)
+    t, on, outside, factor = frame
     # a coordinate T spans all of C^U: a slice keeps its part on U, and C,
     # never multiplied, has no columns
-    coordinate = (s._coordinate if w is None
-                  else _is_coordinate(f, outside, bool(np.isfinite(f).all())))
+    coordinate = factor is None
     if coordinate and (not outside.size or all(d == 1 for _, d in commutant.blocks)):
         return 0.0  # every slice stays on U: nothing is off U, or every d is 1
     comp = np.empty((n * n, 0), dtype=np.complex128)
     if not coordinate:
-        # the columns U of I - F*F formed in place, U the support of F; gone: off U
-        comp = f[:, on].conj().T @ f[:, on]
-        np.negative(comp, out=comp)
-        comp.flat[::len(comp) + 1] += 1.0
+        # the rows U of C; the rows off U are zero, as F is there
+        comp = factor
         if outside.size:
-            comp, part = np.zeros((n * n, len(comp)), dtype=np.complex128), comp
-            comp[on] = part
+            comp = np.zeros((n * n, factor.shape[1]), dtype=np.complex128)
+            comp[on] = factor
     comp = comp.reshape(n, n, -1)
     gone = np.bincount(outside, minlength=n * n).reshape(n, n)
     # live_rows[j, r]: row r of t_j has a nonzero entry (live_cols for
-    # columns); a NaN or Inf counts, so its slices carry it to the residual
+    # columns)
     live_rows, live_cols = t.any(axis=2), t.any(axis=1)
     # the right side is the left side of the transposes: columns of t_j
-    # are rows of t_j^T, and projector row (r, c) is row (c, r) of comp^T
+    # are rows of t_j^T, and factor row (r, c) is row (c, r) of comp^T
     sides = ((t, comp, live_rows, gone),
              (t.transpose(0, 2, 1), comp.transpose(1, 0, 2), live_cols, gone.T))
     worst = [0.0]
@@ -338,7 +397,7 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra,
                 continue
             # chunks of at most dim S * n^2 residual entries; with more than
             # one copy per block the reshape below may copy each block's
-            # mult n projector rows, and they count against the same bound
+            # mult n factor rows, and they count against the same bound
             height = min(lmax, k)
             rows_held = max(height, mult * n) if mult > 1 else height
             width = max(1, k // rows_held)
@@ -358,7 +417,7 @@ def _bimodule_residual(s: OperatorSubspace, commutant: BlockAlgebra,
     return float(np.max(worst))
 
 
-def _adjoint_residual(s: OperatorSubspace) -> float:
+def _adjoint_residual(s: OperatorSubspace, frame: _Frame) -> float:
     """s.max_residual(adjoint(s.basis)). On a coordinate S (dim S = |U|,
     every entry finite) that is, per s_j, the norm of s_j* off U over
     max(1, ||s_j*||): s_j* is off U at the positions whose transpose is, so
@@ -368,9 +427,26 @@ def _adjoint_residual(s: OperatorSubspace) -> float:
     off U are also the transposes of the positions off U (U symmetric, as
     for every classical graph and product of them), no transposed position
     lies on U, nothing of any s_j* lands off U, and the result is 0.0 with
-    no gather."""
+    no gather.
+
+    Any other S is read in the commutant's frame: t_j* = W* s_j* W has the
+    residual of s_j* against S, so, with ``frame`` holding T, U and C
+    (_Frame), the residual is hypot(||x_U C||, ||x off U||) / max(1, ||x||)
+    for x = t_j*, no C term when T is coordinate. When C is the whole
+    projector (w = u, r > u / 4), x C costs k u^2 and max_residual's
+    coefficients 2 k^2 u, at most 1.5 times as much (k < 3 u / 4), so
+    max_residual runs as before. A NaN or Inf in S gives NaN."""
     if not s._coordinate:
-        return s.max_residual(adjoint(s.basis))
+        if not s._finite:
+            return float("nan")
+        t, on, outside, factor = frame
+        if factor is not None and factor.shape[1] == len(factor):
+            return s.max_residual(adjoint(s.basis))
+        x = adjoint(t).reshape(len(t), -1)
+        norms = _hs_norms(x.take(outside, axis=1)[:, None])
+        if factor is not None:
+            norms = np.hypot(norms, _hs_norms((x[:, on] @ factor)[:, None]))
+        return _max_relative(norms, _hs_norms(x[:, None]))
     n, off = s.ambient_dim, s._support[1]
     moved = off % n * n + off // n
     if np.array_equal(np.sort(moved), off):
@@ -393,36 +469,49 @@ def verify_quantum_graph(graph: QuantumGraph,
     (p, q) of a block (m, d) at offset o is (1/sqrt m) sum_i E_{o+id+p,
     o+id+q}, so a t_j times a unit is a slice of t_j: m rows (left) or m
     columns (right), moved and scaled. The residual of such a slice x is
-    x times the matching rows of the complement projector I - F*F (F the
-    flattened basis of T, acting on row vectors): F is zero off its support
-    U, so that is hypot(||x C||, ||x off U||), C the u columns U of I - F*F,
-    and with d = 1 a slice stays on U. Only live slices are multiplied:
-    those with a nonzero entry, found from masks of the nonzero rows and
-    columns of T taken once; a zero slice has residual 0, and a NaN or Inf
-    in T counts as nonzero. For edge spaces of classical
-    and mixed products, whose T is made of matrix units or Kronecker
-    blocks, most slices are zero. Consecutive blocks with the same (m, d)
-    form a run (a diagonal commutant D_n is one run of n blocks). Per run
-    and side the live slices of each block go into one zero-padded stack,
-    and one batched matmul per target index p (per q on the right side)
-    against strided views of C gives the residuals of every block's
-    slices; the matmul is chunked so that no residual block holds more than
-    dim S * n^2 entries. C holds n^2 u <= n^4 entries; n^4 and one residual
-    block are guarded by DENSE_BYTES_LIMIT before any check is run; the
-    commutant's basis is never formed. When T is coordinate (dim S = u and
-    every entry finite, as for classical graphs and their products, whose
-    T is made of matrix units), T spans all of C^U: C is never formed, and
-    a slice's residual is its norm off U alone, 0 for d = 1, where a slice
-    stays on the support of its t_j (a diagonal commutant takes no slice
-    at all, and neither does any commutant when U is everything), and the
-    masked norm of the live slices for d > 1. On a coordinate S the adjoint check,
-    S.max_residual of S*, reads the entries of S whose transposes lie off
-    U, with no copy of S*, and none at all when U is symmetric
-    (_adjoint_residual). The orthogonality to M' is read off the same T:
-    the overlap of t_j with the unit (p, q) above is (1/sqrt m) sum_i
-    t_j[o+id+p, o+id+q], a sum over the block's copies of one entry each,
-    so no Gram with the commutant's basis is formed (_commutant_overlap);
-    a NaN or Inf in S gives NaN there, from S's cached finiteness flag.
+    x times the complement projector I - F*F (F the flattened basis of T,
+    acting on row vectors, zero off its support U of u positions), which
+    is hypot(||x_U C||, ||x off U||) for any u x w factor C with
+    C C* = I - F_U* F_U. One such factor is formed per call
+    (_complement_factor). With r = u - dim S and 4 r <= u it is an
+    orthonormal basis G of the complement (w = r): a fixed-seed Gaussian
+    sketch, projected off F twice and orthonormalized by QR, kept only if
+    dim S + r = u and max |F G| and max |G* G - I| are within
+    ORTHONORMAL_TOL, so that [F; G] is an orthonormal basis of C^U; else G
+    is the last r right singular vectors of a full SVD of F_U, so the
+    sketch never decides a verdict. With a larger complement C is the
+    projector's u columns U (w = u). With d = 1 a slice stays on U. Only
+    live slices are multiplied: those with a nonzero entry, found from
+    masks of the nonzero rows and columns of T taken once; a zero slice has
+    residual 0. For edge spaces of classical and mixed products, whose T is
+    made of matrix units or Kronecker blocks, most slices are zero.
+    Consecutive blocks with the same (m, d) form a run (a diagonal
+    commutant D_n is one run of n blocks). Per run and side the live slices
+    of each block go into one zero-padded stack, and one batched matmul per
+    target index p (per q on the right side) against strided views of C
+    gives the residuals of every block's slices; the matmul is chunked so
+    that no residual block holds more than dim S * n^2 entries. C holds
+    n^2 w <= n^4 entries on the rows of all n^2 positions; n^4 and one
+    residual block are guarded by DENSE_BYTES_LIMIT before any check is
+    run; the commutant's basis is never formed. When T is coordinate
+    (dim S = u and every entry finite, as for classical graphs and their
+    products, whose T is made of matrix units), T spans all of C^U: no C
+    is formed, and a slice's residual is its norm off U alone, 0 for
+    d = 1, where a slice stays on the support of its t_j (a diagonal
+    commutant takes no slice at all, and neither does any commutant when U
+    is everything), and the masked norm of the live slices for d > 1. On a
+    coordinate S the adjoint check, S.max_residual of S*, reads the entries
+    of S whose transposes lie off U, with no copy of S*, and none at all
+    when U is symmetric; on any other S with a small complement it reads
+    t_j* = W* s_j* W through the same C, hypot(||t_j* on U C||,
+    ||t_j* off U||) / max(1, ||t_j*||), and with a large one it projects
+    S* by max_residual (_adjoint_residual). A NaN or Inf in S gives NaN in
+    both checks, and no factor is formed. The orthogonality to M' is read
+    off the same T: the overlap of t_j with the unit (p, q) above is
+    (1/sqrt m) sum_i t_j[o+id+p, o+id+q], a sum over the block's copies of
+    one entry each, so no Gram with the commutant's basis is formed
+    (_commutant_overlap); a NaN or Inf in S gives NaN there, from S's
+    cached finiteness flag.
     """
     rep = VerificationReport("quantum graph axioms")
     s = graph.S
@@ -430,12 +519,11 @@ def verify_quantum_graph(graph: QuantumGraph,
     check_dense_size(16 * n * n * (n * n + s.dim),
                      "the bimodule check on dimension %d" % n)
     commutant = graph.M.commutant()
-    w = commutant.conjugator
-    t = s.basis if w is None else w.conj().T @ s.basis @ w
+    frame = _frame(s, commutant)
 
-    rep.add("adjoint_closed", _adjoint_residual(s), tol)
-    rep.add("bimodule", _bimodule_residual(s, commutant, t), tol)
-    rep.add("orthogonal_to_commutant", _commutant_overlap(s, commutant, t), tol)
+    rep.add("adjoint_closed", _adjoint_residual(s, frame), tol)
+    rep.add("bimodule", _bimodule_residual(s, commutant, frame), tol)
+    rep.add("orthogonal_to_commutant", _commutant_overlap(s, commutant, frame.t), tol)
     return rep
 
 

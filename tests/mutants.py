@@ -69,6 +69,7 @@ NOT_COORDINATE = ("tests/test_coordinate_route.py::"
 PRODUCT_ORACLE = "tests/test_product_oracle.py"
 CROSSCHECK_ORACLE = "tests/test_crosscheck_oracle.py"
 OVERLAP = "tests/test_overlap_properties.py"
+COMPLEMENT = "tests/test_complement_route.py"
 PROPER_SUBGRAPH = (CROSSCHECK_ORACLE
                    + "::test_a_proper_subgraph_on_the_classical_side_fails")
 OTHER_KIND = ("tests/test_products.py::"
@@ -161,8 +162,8 @@ MUTANTS = [
             "tests/test_coloring.py::test_nan_entry_fails_the_coloring_condition")),
     # the classical edge positions read off the quantum side's own support
     Mutant("crosscheck-against-itself", "products.py",
-           '("edge_space_match", quantum.S, edges),',
-           '("edge_space_match", quantum.S, quantum.S.basis.any(axis=0)),',
+           "_span_residuals(quantum.S, edges.ravel())",
+           "_span_residuals(quantum.S, quantum.S.basis.any(axis=0).ravel())",
            (OTHER_KIND, PROPER_SUBGRAPH,
             "tests/test_cli.py::test_product_classical_fails_on_another_kinds_product")),
     # a classical edge unit off a coordinate quantum side is orthogonal to it
@@ -184,9 +185,31 @@ MUTANTS = [
            (OVERLAP + "::test_overlap_matches_the_gram",)),
     # a NaN off the commutant's diagonal blocks is never gathered
     Mutant("overlap-ignores-non-finite", "qgraph.py",
-           "    if not s._finite:\n        return float(\"nan\")\n",
-           "",
+           "    if not s._finite:\n        return float(\"nan\")\n    worst = [0.0]\n",
+           "    worst = [0.0]\n",
            (OVERLAP + "::test_a_non_finite_entry_anywhere_gives_nan",)),
+    # a sketch's QR may leave the kernel of F; only a forced rank-deficient
+    # sketch shows that nothing else vouches for it
+    Mutant("complement-certificate-skipped", "qgraph.py",
+           "if (k + g.shape[1] == u and np.max(np.abs(fu @ g)) <= ORTHONORMAL_TOL",
+           "if True or (k + g.shape[1] == u and np.max(np.abs(fu @ g)) <= ORTHONORMAL_TOL",
+           (COMPLEMENT + "::test_a_rank_deficient_sketch_falls_back_to_the_svd",)),
+    # r - 1 columns, sketch and SVD alike, miss one direction of the complement
+    Mutant("complement-one-column-short", "qgraph.py",
+           "    r = u - k\n",
+           "    r = u - k - 1\n",
+           (COMPLEMENT + "::test_generated_graphs_match_the_projector_route",)),
+    # t_j* off the support U of T is residual however C acts on U
+    Mutant("adjoint-factor-drops-off-support", "qgraph.py",
+           "norms = _hs_norms(x.take(outside, axis=1)[:, None])",
+           "norms = np.zeros(len(x))",
+           (COMPLEMENT + "::test_generated_graphs_match_the_projector_route",)),
+    # NaN > tol is False: a NaN matrix would pass as unitary
+    Mutant("check-unitary-accepts-nan", "opspace.py",
+           "if not hs_norm(u.conj().T @ u - np.eye(n)) <= tol:",
+           "if hs_norm(u.conj().T @ u - np.eye(n)) > tol:",
+           ("tests/test_opspace.py::test_check_unitary_refuses_a_non_finite_matrix",
+            "tests/test_qgraph.py::test_non_finite_conjugators_are_refused")),
     # the four products share one vertex count, not one graph
     Mutant("bounds-memo-keyed-by-vertex-count", "classical.py",
            "solved = {p: chromatic_exact(p) for p in set(graphs.values())}\n"

@@ -20,7 +20,7 @@ import quantumgraphs as qg
 from quantumgraphs import BlockAlgebra, OperatorSubspace
 from quantumgraphs.opspace import adjoint
 from quantumgraphs.products import classical_crosscheck, product
-from quantumgraphs.qgraph import _adjoint_residual
+from quantumgraphs.qgraph import _adjoint_residual, _frame
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,8 @@ def test_adjoint_route_matches_max_residual_bitwise_on_coordinate_spaces():
         flat[:, cells] = mix if rng.random() < 0.7 else np.eye(u)
         s = OperatorSubspace(n, flat.reshape(u, n, n))
         assert s._coordinate
-        got = _adjoint_residual(s)
+        # D_n is its own commutant, with no conjugator: T is S
+        got = _adjoint_residual(s, _frame(s, BlockAlgebra.diagonal(n)))
         assert got == s.max_residual(adjoint(s.basis)), (n, u)
         nonzero += got > 0
     assert nonzero > 100 and symmetric > 80

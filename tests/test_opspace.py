@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantumgraphs.opspace import (
-    DEFAULT_TOL, OperatorSubspace, adjoint, hs_norm, orthonormalize,
+    DEFAULT_TOL, OperatorSubspace, adjoint, check_unitary, hs_norm, orthonormalize,
     permute_systems, projection_meet)
 
 
@@ -83,6 +83,16 @@ def test_orthonormalize_rejects_a_non_finite_entry(bad):
         orthonormalize([[[bad, 0], [0, 1]], np.eye(2)])
     with pytest.raises(ValueError, match=r"matrix 0 entry \(1, 1\)"):
         orthonormalize([np.diag([0, bad])])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "infj", "1-infj"])
+def test_check_unitary_refuses_a_non_finite_matrix(bad):
+    """||u* u - I|| is NaN or Inf here, and NaN > tol is False: the test
+    reads "within tol", which a NaN is not."""
+    np.testing.assert_array_equal(check_unitary(np.eye(2), 2, "u"), np.eye(2))
+    for u in ([[bad, 0], [0, 1]], [[1, bad], [0, 1]], [[0, 1], [1, bad]]):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="u is not unitary"):
+            check_unitary(u, 2, "u")
 
 
 def test_project_is_idempotent_and_members_have_zero_residual():

@@ -11,7 +11,7 @@ from quantumgraphs.opspace import orthonormalize, permute_systems
 from quantumgraphs.products import (
     LEXICOGRAPHIC_NOTE, classical_crosscheck, product)
 from quantumgraphs.qgraph import (
-    DENSE_BYTES_LIMIT, _adjoint_residual, _bimodule_residual, check_dense_size)
+    DENSE_BYTES_LIMIT, _adjoint_residual, _bimodule_residual, _frame, check_dense_size)
 
 
 def embedded(g):
@@ -217,9 +217,11 @@ def test_ambient_36_verify_peak_memory(r6_lex):
     _, p = r6_lex
     assert p.S._coordinate
     commutant = p.M.commutant()
+    frame = _frame(p.S, commutant)
+    assert frame.factor is None
     verify_peak = traced_peak(lambda: qg.verify_quantum_graph(p))
-    adjoint_peak = traced_peak(lambda: _adjoint_residual(p.S))
-    bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant, p.S.basis))
+    adjoint_peak = traced_peak(lambda: _adjoint_residual(p.S, frame))
+    bimodule_peak = traced_peak(lambda: _bimodule_residual(p.S, commutant, frame))
     assert verify_peak < 2 * 2 ** 20, verify_peak
     assert adjoint_peak < 2 ** 16, adjoint_peak
     assert bimodule_peak < 2 ** 16, bimodule_peak

@@ -235,6 +235,18 @@ def test_conjugate_graph_rejects_non_unitary():
         qg.conjugate_graph(g, 2.0 * np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_conjugators_are_refused(bad):
+    """A conjugator or a relabeling unitary with a NaN or Inf entry is not
+    unitary: it raises, rather than building an algebra or a graph whose
+    every residual is NaN."""
+    u = np.array([[bad, 0], [0, 1]])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="conjugator is not unitary"):
+        BlockAlgebra([(1, 2)], u)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="conjugating matrix is not unitary"):
+        qg.conjugate_graph(qg.from_classical(qg.complete(2)), u)
+
+
 def test_verify_trips_the_dense_guard_before_allocating():
     """The complement projector at dimension 65 would take 285 MB."""
     g = qg.QuantumGraph(qg.OperatorSubspace.zero(65), BlockAlgebra.diagonal(65))
