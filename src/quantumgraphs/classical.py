@@ -9,6 +9,7 @@ guards; exceeding a guard raises SizeGuardError rather than running forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -38,7 +39,12 @@ def _checked_vertex_count(n) -> int:
 
 
 class ClassicalGraph:
-    """A finite simple undirected graph on vertices 0..n-1."""
+    """A finite simple undirected graph on vertices 0..n-1.
+
+    The edges are validated and stored at construction. The neighbour sets
+    behind ``neighbors``, ``degree`` and ``has_edge`` are built on first use,
+    since the exact solvers read only ``edges``.
+    """
 
     def __init__(self, vertex_count: int, edges):
         n = _checked_vertex_count(vertex_count)
@@ -54,11 +60,14 @@ class ClassicalGraph:
             norm.add((min(u, v), max(u, v)))
         self.vertex_count = n
         self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
+
+    @cached_property
+    def _adj(self) -> tuple:
+        adj = [set() for _ in range(self.vertex_count)]
+        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+        return tuple(frozenset(s) for s in adj)
 
     @property
     def edge_count(self) -> int:
@@ -356,20 +365,48 @@ def clique_number(g: ClassicalGraph) -> int:
 
 
 def _dsatur_greedy(g: ClassicalGraph) -> list:
-    """DSATUR greedy proper coloring (upper bound witness)."""
-    n = g.vertex_count
-    colors = [-1] * n
-    satur = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] == -1),
-                key=lambda u: (len(satur[u]), g.degree(u), -u))
-        c = 0
-        while c in satur[v]:
-            c += 1
-        colors[v] = c
-        for w in g.neighbors(v):
-            satur[w].add(c)
+    """DSATUR greedy proper coloring (upper bound witness; Brelaz, CACM
+    1979). Each step colors the uncolored vertex of largest saturation (the
+    number of colors among its neighbours), then largest degree, then lowest
+    index, with the smallest color its neighbours do not use."""
+    adj = _adjacency_masks(g)
+    degree = [a.bit_count() for a in adj]
+    colors = [-1] * len(adj)
+    satur = [0] * len(adj)  # bit c of satur[v] is set iff a neighbour has color c
+    uncolored = (1 << len(adj)) - 1
+    while uncolored:
+        pick, pick_sat, pick_deg, m = -1, -1, -1, uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            s = satur[v].bit_count()
+            if s > pick_sat or s == pick_sat and degree[v] > pick_deg:
+                pick, pick_sat, pick_deg = v, s, degree[v]
+        used = satur[pick]
+        c = (~used & (used + 1)).bit_length() - 1  # the lowest unset bit
+        colors[pick] = c
+        uncolored &= ~(1 << pick)
+        m = adj[pick] & uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            satur[low.bit_length() - 1] |= 1 << c
     return colors
+
+
+def _fewest_non_neighbours(adj: list, rest: int) -> int:
+    """The lowest-index vertex of rest with the fewest non-neighbours in
+    rest (itself included)."""
+    pick, fewest, m = -1, rest.bit_count() + 1, rest
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        k = (rest & ~adj[u]).bit_count()
+        if k < fewest:
+            pick, fewest = u, k
+    return pick
 
 
 def _maximal_independent_sets(adj: list, avail: int):
@@ -381,22 +418,35 @@ def _maximal_independent_sets(adj: list, avail: int):
             if not done:
                 yield cur
             return
-        pivot = max(_bits(cand | done),
-                    key=lambda u: (cand & ~adj[u] & ~(1 << u)).bit_count())
-        for w in _bits(cand & (adj[pivot] | (1 << pivot))):
-            keep = ~adj[w] & ~(1 << w)
-            yield from rec(cur | (1 << w), cand & keep, done & keep)
-            cand &= ~(1 << w)
-            done |= 1 << w
+        # the lowest-index pivot with the most non-neighbours in cand, itself excluded
+        pivot, most, m = -1, -1, cand | done
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            k = (cand & ~adj[u] & ~low).bit_count()
+            if k > most:
+                pivot, most = u, k
+        branch = cand & (adj[pivot] | (1 << pivot))
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            keep = ~adj[low.bit_length() - 1] & ~low
+            yield from rec(cur | low, cand & keep, done & keep)
+            cand &= ~low
+            done |= low
 
     return rec(0, avail, 0)
 
 
-def _greedy_clique_size(adj: list, avail: int) -> int:
-    """Size of a clique of G[avail] grown by maximum residual degree; on
-    complement masks, of an independent set grown by minimum degree."""
+def _greedy_clique_size(adj: list, avail: int, floor: int = 0) -> int:
+    """max(floor, the size of a clique of G[avail] grown by maximum residual
+    degree, ties to the lowest index); on complement masks, of an
+    independent set grown by minimum degree. The growth stops as soon as the
+    vertices left cannot take the clique past floor, so a call with floor f
+    equals max(f, the call with floor 0)."""
     size = 0
-    while avail:
+    while avail and size + avail.bit_count() > floor:
         pick, pick_deg = 0, -1
         m = avail
         while m:
@@ -408,7 +458,7 @@ def _greedy_clique_size(adj: list, avail: int) -> int:
                 pick, pick_deg = v, d
         avail &= adj[pick]
         size += 1
-    return size
+    return max(floor, size)
 
 
 def _twin_groups(adj: list) -> list:
@@ -465,13 +515,13 @@ def chromatic_exact(g: ClassicalGraph) -> int:
         alpha_above = alpha.get(rest, alpha_above)
         lo = max(fails.get(rest, 0) + 1, -(-size // alpha_above))
         if lo < bound:
-            lo = max(lo, _greedy_clique_size(adj, rest))
+            lo = _greedy_clique_size(adj, rest, lo)
         if (lo < bound and rest not in alpha
                 and size > (bound - 1) * _greedy_clique_size(co_adj, rest)):
             alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count()
             lo = max(lo, -(-size // alpha_above))
         if lo < bound:
-            v = min(_bits(rest), key=lambda u: (rest & ~adj[u]).bit_count())
+            v = _fewest_non_neighbours(adj, rest)
             inside = rest & ~adj[v] & ~(1 << v)
             for m in twins:
                 m &= inside
@@ -498,13 +548,23 @@ def _cover_classes(adj: list, cand: int):
             if not done:
                 yield cur
             return
-        pivot = max(_bits(cand | done),
-                    key=lambda u: (cand & ~adj[u]).bit_count())
-        for w in _bits(cand & (adj[pivot] | (1 << pivot))):
-            free = ~adj[w] & ~(1 << w)
-            yield from rec(cur | (1 << w), cand & free, done & free)
-            cand &= ~(1 << w)
-            done |= 1 << w
+        # the lowest-index pivot with the most non-neighbours in cand, itself included
+        pivot, most, m = -1, -1, cand | done
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            k = (cand & ~adj[u]).bit_count()
+            if k > most:
+                pivot, most = u, k
+        branch = cand & (adj[pivot] | (1 << pivot))
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            free = ~adj[low.bit_length() - 1] & ~low
+            yield from rec(cur | low, cand & free, done & free)
+            cand &= ~low
+            done |= low
 
     return rec(0, cand, 0)
 
@@ -568,7 +628,14 @@ def bfold_exact(g: ClassicalGraph, b: int):
             level = b
             while not (top := demand >> shifts[level - 1] & avail):
                 level -= 1
-            pick = max(_bits(top), key=lambda u: (adj[u] & avail).bit_count())
+            pick, most = -1, -1
+            while top:
+                low = top & -top
+                top ^= low
+                u = low.bit_length() - 1
+                k = (adj[u] & avail).bit_count()
+                if k > most:
+                    pick, most = u, k
             total += level
             avail &= adj[pick]
         return total
@@ -590,7 +657,7 @@ def bfold_exact(g: ClassicalGraph, b: int):
             lo = max(lo, -(-total // alpha_above))
         best = None
         if lo < bound:
-            v = min(_bits(rest), key=lambda u: (rest & ~adj[u]).bit_count())
+            v = _fewest_non_neighbours(adj, rest)
             inside = rest & ~adj[v] & ~(1 << v)
             for cls in _cover_classes(adj, inside):
                 cls |= 1 << v

@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
+    python tests/mutants.py --jobs 2   # two mutants at a time
     python tests/mutants.py --list
 
 Each mutant names a file under src/, an exact snippet that must occur in it
@@ -12,18 +13,22 @@ first runs every named test on an unchanged copy of src/, where all of them
 must pass. Then, for each mutant, it copies src/ to a temporary directory,
 applies the replacement there and runs the mutant's tests with that copy
 first on PYTHONPATH; the mutant is killed when each of its test ids has a
-failing test. The checkout itself is never modified. The exit status is 1
+failing test. With ``--jobs N`` the mutants run N at a time, each in its
+own copy, after the run on the unchanged copy; their results print in list
+order. The checkout itself is never modified. The exit status is 1
 when a mutant survives, a snippet does not match exactly once, a test
 fails on the unchanged copy or the package is not imported from the copy.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,6 +77,7 @@ OVERLAP = "tests/test_overlap_properties.py"
 COMPLEMENT = "tests/test_complement_route.py"
 PROPER_SUBGRAPH = (CROSSCHECK_ORACLE
                    + "::test_a_proper_subgraph_on_the_classical_side_fails")
+KERNELS = "tests/test_solver_kernels.py"
 OTHER_KIND = ("tests/test_products.py::"
               "test_classical_crosscheck_fails_on_another_kinds_product")
 
@@ -263,10 +269,25 @@ MUTANTS = [
            "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count()",
            "alpha[rest] = alpha_above = _max_independent_mask(adj, rest).bit_count() - 1",
            (CHI_RANDOM,)),
+    # max(lo, clique + 1): the greedy clique counted one vertex too large
     Mutant("chromatic-clique-bound-one-too-large", "classical.py",
-           "lo = max(lo, _greedy_clique_size(adj, rest))",
-           "lo = max(lo, _greedy_clique_size(adj, rest) + 1)",
+           "lo = _greedy_clique_size(adj, rest, lo)",
+           "lo = max(lo, _greedy_clique_size(adj, rest, lo - 1) + 1)",
            (CHI_RANDOM, CHI_CLOSED_FORMS)),
+    Mutant("dsatur-ties-to-the-highest-index", "classical.py",
+           "s == pick_sat and degree[v] > pick_deg",
+           "s == pick_sat and degree[v] >= pick_deg",
+           (KERNELS + "::test_dsatur_colorings_match_the_set_based_reference",)),
+    Mutant("independent-sets-pivot-last-maximum", "classical.py",
+           "k = (cand & ~adj[u] & ~low).bit_count()\n"
+           "            if k > most:",
+           "k = (cand & ~adj[u] & ~low).bit_count()\n"
+           "            if k >= most:",
+           (KERNELS + "::test_maximal_independent_sets_match_the_lambda_pivot_reference",)),
+    Mutant("greedy-clique-stops-one-early", "classical.py",
+           "size + avail.bit_count() > floor:",
+           "size + avail.bit_count() > floor + 1:",
+           (KERNELS + "::test_greedy_clique_size_is_the_reference_raised_to_its_floor",)),
     Mutant("bfold-alpha-one-too-small", "classical.py",
            "cls.bit_count() for cls in _cover_classes(adj, rest))",
            "cls.bit_count() for cls in _cover_classes(adj, rest)) - 1",
@@ -504,17 +525,42 @@ def copy_src(tmp: str) -> str:
     return src
 
 
+def check(m: Mutant) -> tuple:
+    """(the mutant's result line, whether it counts as a failure)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_src(tmp)
+        path = os.path.join(tmp, PACKAGE, m.file)
+        with open(path) as fh:
+            text = fh.read()
+        if text.count(m.old) != 1:
+            return ("%-38s snippet matches %d times in %s"
+                    % (m.name, text.count(m.old), m.file)), True
+        with open(path, "w") as fh:
+            fh.write(text.replace(m.old, m.new))
+        failed = run_tests(src, m.tests)
+    survived = [t for t in m.tests if not caught(t, failed)]
+    return ("%-38s %s" % (m.name, "SURVIVED by %s" % ", ".join(survived)
+                          if survived else "killed")), bool(survived)
+
+
 def main(argv) -> int:
-    if argv == ["--list"]:
+    parser = argparse.ArgumentParser(description="Run the listed mutants.")
+    parser.add_argument("names", nargs="*", help="only these mutants")
+    parser.add_argument("--list", action="store_true", help="print the mutant names")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="mutants run at a time (default 1)")
+    args = parser.parse_args(argv)
+    if args.list:
         for m in MUTANTS:
             print(m.name)
         return 0
-    unknown = set(argv) - {m.name for m in MUTANTS}
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    bad = 0
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     with tempfile.TemporaryDirectory() as tmp:
         src = copy_src(tmp)
         where = imported_from(src)
@@ -526,24 +572,11 @@ def main(argv) -> int:
         if failed:
             print("tests fail on the unchanged source: %s" % ", ".join(sorted(failed)))
             return 1
-    for m in chosen:
-        with tempfile.TemporaryDirectory() as tmp:
-            src = copy_src(tmp)
-            path = os.path.join(tmp, PACKAGE, m.file)
-            with open(path) as fh:
-                text = fh.read()
-            if text.count(m.old) != 1:
-                print("%-38s snippet matches %d times in %s"
-                      % (m.name, text.count(m.old), m.file))
-                bad += 1
-                continue
-            with open(path, "w") as fh:
-                fh.write(text.replace(m.old, m.new))
-            failed = run_tests(src, m.tests)
-        survived = [t for t in m.tests if not caught(t, failed)]
-        print("%-38s %s" % (m.name, "SURVIVED by %s" % ", ".join(survived)
-                             if survived else "killed"))
-        bad += bool(survived)
+    bad = 0
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        for line, failure in pool.map(check, chosen):
+            print(line, flush=True)
+            bad += failure
     return 1 if bad else 0
 
 

@@ -232,6 +232,15 @@ def wire_files(tmp_path_factory):
     return out
 
 
+def write_new(path, text) -> str:
+    """Write ``text`` to ``path`` as a new file. Removing the old file first
+    spares each example the flush that ext4 forces when a file is truncated
+    and rewritten."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+    return str(path)
+
+
 def assert_refused(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -243,16 +252,16 @@ def assert_refused(argv):
 @given(st.data())
 def test_damaged_certificate_files_are_refused(wire_files, data):
     graph, cert = data.draw(st.sampled_from([("kq", "bell2"), ("c5q", "c5cert")]))
-    bad = wire_files["dir"] / "bad_cert.json"
-    bad.write_text(damaged(wire_files["docs"][cert], data.draw))
-    assert_refused(["color", "verify", wire_files[graph], str(bad)])
+    bad = write_new(wire_files["dir"] / "bad_cert.json",
+                    damaged(wire_files["docs"][cert], data.draw))
+    assert_refused(["color", "verify", wire_files[graph], bad])
 
 
 @FIXED
 @given(st.data())
 def test_damaged_graph_files_are_refused(wire_files, data):
     name = data.draw(st.sampled_from(["kq", "c5q", "c5"]))
-    bad = wire_files["dir"] / "bad_graph.json"
-    bad.write_text(damaged(wire_files["docs"][name], data.draw))
+    bad = write_new(wire_files["dir"] / "bad_graph.json",
+                    damaged(wire_files["docs"][name], data.draw))
     command = ["classical", "chi"] if name == "c5" else ["verify-graph"]
-    assert_refused(command + [str(bad)])
+    assert_refused(command + [bad])
