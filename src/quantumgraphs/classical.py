@@ -409,6 +409,19 @@ def _fewest_non_neighbours(adj: list, rest: int) -> int:
     return pick
 
 
+def _most_neighbours(adj: list, among: int, avail: int) -> int:
+    """The lowest-index vertex of among with the most neighbours in avail."""
+    pick, most, m = -1, -1, among
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        k = (adj[u] & avail).bit_count()
+        if k > most:
+            pick, most = u, k
+    return pick
+
+
 def _maximal_independent_sets(adj: list, avail: int):
     """Every maximal independent set of G[avail], as bitsets: Bron-Kerbosch
     with pivoting, run on the complement (whose maximal cliques they are)."""
@@ -628,16 +641,8 @@ def bfold_exact(g: ClassicalGraph, b: int):
             level = b
             while not (top := demand >> shifts[level - 1] & avail):
                 level -= 1
-            pick, most = -1, -1
-            while top:
-                low = top & -top
-                top ^= low
-                u = low.bit_length() - 1
-                k = (adj[u] & avail).bit_count()
-                if k > most:
-                    pick, most = u, k
             total += level
-            avail &= adj[pick]
+            avail &= adj[_most_neighbours(adj, top, avail)]
         return total
 
     def least(demand: int, bound: int, alpha_above: int):

@@ -4,7 +4,6 @@ Usage, from the root of a checkout:
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # only these
-    python tests/mutants.py --jobs 2   # two mutants at a time
     python tests/mutants.py --list
 
 Each mutant names a file under src/, an exact snippet that must occur in it
@@ -13,16 +12,16 @@ first runs every named test on an unchanged copy of src/, where all of them
 must pass. Then, for each mutant, it copies src/ to a temporary directory,
 applies the replacement there and runs the mutant's tests with that copy
 first on PYTHONPATH; the mutant is killed when each of its test ids has a
-failing test. With ``--jobs N`` the mutants run N at a time, each in its
-own copy, after the run on the unchanged copy; their results print in list
-order. The checkout itself is never modified. The exit status is 1
-when a mutant survives, a snippet does not match exactly once, a test
-fails on the unchanged copy or the package is not imported from the copy.
+failing test. The mutants run as many at a time as the process has CPUs,
+each in its own copy, after the run on the unchanged copy; their results
+print in list order. The checkout itself is never modified. The exit
+status is 1 when a mutant survives, a snippet does not match exactly once,
+a test fails on the unchanged copy or the package is not imported from the
+copy.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -284,6 +283,16 @@ MUTANTS = [
            "k = (cand & ~adj[u] & ~low).bit_count()\n"
            "            if k >= most:",
            (KERNELS + "::test_maximal_independent_sets_match_the_lambda_pivot_reference",)),
+    Mutant("fewest-non-neighbours-ties-to-the-last", "classical.py",
+           "if k < fewest:",
+           "if k <= fewest:",
+           (KERNELS + "::test_fewest_non_neighbours_is_the_first_minimum",)),
+    Mutant("most-neighbours-ties-to-the-last", "classical.py",
+           "k = (adj[u] & avail).bit_count()\n"
+           "        if k > most:",
+           "k = (adj[u] & avail).bit_count()\n"
+           "        if k >= most:",
+           (KERNELS + "::test_most_neighbours_is_the_first_maximum",)),
     Mutant("greedy-clique-stops-one-early", "classical.py",
            "size + avail.bit_count() > floor:",
            "size + avail.bit_count() > floor + 1:",
@@ -543,24 +552,23 @@ def check(m: Mutant) -> tuple:
                           if survived else "killed")), bool(survived)
 
 
+def cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Run the listed mutants.")
-    parser.add_argument("names", nargs="*", help="only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutant names")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="mutants run at a time (default 1)")
-    args = parser.parse_args(argv)
-    if args.list:
+    if argv == ["--list"]:
         for m in MUTANTS:
             print(m.name)
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    unknown = set(args.names) - {m.name for m in MUTANTS}
+    unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
         print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
     with tempfile.TemporaryDirectory() as tmp:
         src = copy_src(tmp)
         where = imported_from(src)
@@ -573,7 +581,7 @@ def main(argv) -> int:
             print("tests fail on the unchanged source: %s" % ", ".join(sorted(failed)))
             return 1
     bad = 0
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=cpus()) as pool:
         for line, failure in pool.map(check, chosen):
             print(line, flush=True)
             bad += failure

@@ -4,10 +4,11 @@ replaced.
 The references below are the earlier forms of ``_dsatur_greedy``,
 ``_greedy_clique_size`` and the two Bron-Kerbosch generators: DSATUR on
 Python sets with ``max(..., key=(saturation, degree, -index))``, a greedy
-clique without a floor, and pivots picked by ``max(_bits(...), key=...)``.
+clique without a floor, and pivots picked by ``max(_bits(...), key=...)``;
+the solvers' vertex picks were ``min``/``max(_bits(...), key=...)`` too.
 The kernels must make the same choices: equal colorings, the same clique
-size raised to the floor for every floor from 0 to n, and the same maximal
-independent sets in the same order. Hypothesis runs derandomized with a
+size raised to the floor for every floor from 0 to n, the same maximal
+independent sets in the same order, and the same first extreme vertex. Hypothesis runs derandomized with a
 fixed example count and no example database, so every run checks the same
 graphs.
 """
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import quantumgraphs as qg
 from quantumgraphs.classical import (
     _adjacency_masks, _bits, _complement_masks, _cover_classes, _dsatur_greedy,
-    _greedy_clique_size, _maximal_independent_sets)
+    _fewest_non_neighbours, _greedy_clique_size, _maximal_independent_sets,
+    _most_neighbours)
 
 FIXED = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -160,3 +162,25 @@ def test_cover_classes_match_the_lambda_pivot_reference(data):
     cand = data.draw(subsets(g.vertex_count))
     assert list(_cover_classes(adj, cand)) == list(reference_cover_classes(adj, cand))
 
+
+
+@FIXED
+@given(st.data())
+def test_fewest_non_neighbours_is_the_first_minimum(data):
+    g = data.draw(graphs())
+    adj = _adjacency_masks(g)
+    for masks in (adj, _complement_masks(adj)):
+        rest = data.draw(subsets(g.vertex_count)) or 1
+        assert (_fewest_non_neighbours(masks, rest)
+                == min(_bits(rest), key=lambda u: (rest & ~masks[u]).bit_count()))
+
+
+@FIXED
+@given(st.data())
+def test_most_neighbours_is_the_first_maximum(data):
+    g = data.draw(graphs())
+    adj = _adjacency_masks(g)
+    avail = data.draw(subsets(g.vertex_count))
+    among = data.draw(subsets(g.vertex_count)) or 1
+    assert (_most_neighbours(adj, among, avail)
+            == max(_bits(among), key=lambda u: (adj[u] & avail).bit_count()))
